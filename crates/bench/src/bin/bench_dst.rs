@@ -1,8 +1,7 @@
 //! Measure DST harness throughput and record it as `BENCH_dst.json`.
 //!
-//! Where the criterion bench (`benches/schedules_per_sec.rs`) prints
-//! human-readable timings, this binary emits a machine-readable record
-//! of schedules/sec for the series the roadmap tracks — `explore/{4,8}`
+//! This binary emits a machine-readable record of schedules/sec for the
+//! series the roadmap tracks — `explore/{4,8}`
 //! (serial per-seed cost), `explore_shape/<shape>` (per-kill-shape cost
 //! of the taxonomy sweeps, DESIGN.md §8.8) and `sweep_jobs/{1,8}` (the
 //! parallel engine) — so the perf trajectory is a committed artifact,
@@ -11,10 +10,8 @@
 //! (DESIGN.md §8.10) — deterministic and lower-is-better, gated
 //! tightly by `scripts/bench_gate.py`.
 //!
-//! The tracked ids measure the default (pooled) executor: each series
-//! reuses one persistent rank-executor pool across schedules. The
-//! `*_nopool` twins measure the spawn-per-run fallback (`--no-pool`),
-//! so the pool's win stays a committed, comparable number.
+//! Every series reuses one persistent rank-executor pool
+//! (`SeedRunner`) across schedules, as `dst explore` does.
 //!
 //! Usage:
 //!
@@ -29,7 +26,7 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use dst::{check_all, run_seed_quiet, sweep, KillShape, ScenarioCfg, SeedRunner, SweepCfg};
+use dst::{check_all, sweep, KillShape, Retention, ScenarioCfg, SeedRunner, SweepCfg};
 
 /// One measured series.
 struct Entry {
@@ -96,10 +93,8 @@ fn main() {
     const SEED_SPACE: u64 = 10_000;
 
     // Serial per-seed cost: one full schedule (sim + oracles) per item,
-    // exactly the sweep engine's inner loop (zero-retention run). The
-    // tracked `explore/{ranks}` id is the pooled path (one SeedRunner
-    // reused across every schedule); `explore_nopool/{ranks}` is the
-    // spawn-per-run baseline.
+    // exactly the sweep engine's inner loop (zero-retention run, one
+    // SeedRunner reused across every schedule).
     const EXPLORE_BATCH: u64 = 10;
     for ranks in [4usize, 8] {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
@@ -109,33 +104,13 @@ fn main() {
             measure(EXPLORE_BATCH, window, |round| {
                 let base = round * EXPLORE_BATCH;
                 for s in (base..base + EXPLORE_BATCH).map(|s| s % SEED_SPACE) {
-                    let obs = runner.run_seed_quiet(s, &cfg);
+                    let obs = runner.run_seed(s, &cfg, Retention::Quiet);
                     let violations = check_all(&obs);
                     assert!(violations.is_empty(), "seed {s:#x} violated: {violations:?}");
                 }
             });
         eprintln!("explore/{ranks}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
         entries.push(Entry { id: format!("explore/{ranks}"), rate, batches, schedules, elapsed });
-
-        let (rate, batches, schedules, elapsed) =
-            measure(EXPLORE_BATCH, window, |round| {
-                let base = round * EXPLORE_BATCH;
-                for s in (base..base + EXPLORE_BATCH).map(|s| s % SEED_SPACE) {
-                    let obs = run_seed_quiet(s, &cfg);
-                    let violations = check_all(&obs);
-                    assert!(violations.is_empty(), "seed {s:#x} violated: {violations:?}");
-                }
-            });
-        eprintln!(
-            "explore_nopool/{ranks}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})"
-        );
-        entries.push(Entry {
-            id: format!("explore_nopool/{ranks}"),
-            rate,
-            batches,
-            schedules,
-            elapsed,
-        });
     }
 
     // Per-shape serial cost at 4 ranks (kill-shape taxonomy, DESIGN.md
@@ -154,7 +129,7 @@ fn main() {
                 measure(EXPLORE_BATCH, window, |round| {
                     let base = round * EXPLORE_BATCH;
                     for s in (base..base + EXPLORE_BATCH).map(|s| s % SHAPE_SEED_SPACE) {
-                        let obs = runner.run_seed_quiet(s, &cfg);
+                        let obs = runner.run_seed(s, &cfg, Retention::Quiet);
                         let violations = check_all(&obs);
                         assert!(
                             violations.is_empty(),
@@ -190,12 +165,12 @@ fn main() {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
         let mut runner = SeedRunner::new(ranks);
         for s in 0..alloc_window {
-            let _ = runner.run_seed_quiet(s, &cfg);
+            let _ = runner.run_seed(s, &cfg, Retention::Quiet);
         }
         let start = Instant::now();
         let mut allocs = 0u64;
         for s in 0..alloc_window {
-            allocs += runner.run_seed_quiet(s, &cfg).stats.alloc.allocs;
+            allocs += runner.run_seed(s, &cfg, Retention::Quiet).stats.alloc.allocs;
         }
         let elapsed = start.elapsed();
         let per_schedule = allocs as f64 / alloc_window as f64;
@@ -212,35 +187,25 @@ fn main() {
         });
     }
 
-    // The parallel engine at the tracked worker counts, pooled
-    // (default) and spawn-per-run.
+    // The parallel engine at the tracked worker counts.
     const SWEEP_BATCH: u64 = 64;
     let cfg = ScenarioCfg::default();
-    for use_pool in [true, false] {
-        for jobs in [1usize, 8] {
-            let (rate, batches, schedules, elapsed) =
-                measure(SWEEP_BATCH, window, |round| {
-                    let sweep_cfg = SweepCfg {
-                        // Wrap the 64-seed window inside the validated space.
-                        start: (round % (SEED_SPACE / SWEEP_BATCH)) * SWEEP_BATCH,
-                        count: SWEEP_BATCH,
-                        jobs,
-                        max_failures: 100,
-                        shrink_failures: false,
-                        use_pool,
-                        threads_budget: 0,
-                    };
-                    let report = sweep(&sweep_cfg, &cfg).expect("valid sweep");
-                    assert_eq!(report.failing, 0, "hardened corpus must stay green");
-                });
-            let id = if use_pool {
-                format!("sweep_jobs/{jobs}")
-            } else {
-                format!("sweep_jobs_nopool/{jobs}")
+    for jobs in [1usize, 8] {
+        let (rate, batches, schedules, elapsed) = measure(SWEEP_BATCH, window, |round| {
+            let sweep_cfg = SweepCfg {
+                // Wrap the 64-seed window inside the validated space.
+                start: (round % (SEED_SPACE / SWEEP_BATCH)) * SWEEP_BATCH,
+                count: SWEEP_BATCH,
+                jobs,
+                max_failures: 100,
+                shrink_failures: false,
             };
-            eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
-            entries.push(Entry { id, rate, batches, schedules, elapsed });
-        }
+            let report = sweep(&sweep_cfg, &cfg).expect("valid sweep");
+            assert_eq!(report.failing, 0, "hardened corpus must stay green");
+        });
+        let id = format!("sweep_jobs/{jobs}");
+        eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
+        entries.push(Entry { id, rate, batches, schedules, elapsed });
     }
 
     // Hand-rolled JSON (no serde in this workspace); the format is flat

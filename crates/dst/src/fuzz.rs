@@ -314,55 +314,83 @@ fn hook_from_name(s: &str) -> Option<HookKind> {
 }
 
 /// Parse one `schedule seed=… kills=[…] [mask=[…]] …` line back into a
-/// schedule. Lines not starting with `schedule ` (comments, blanks)
-/// return `Ok(None)`.
-fn parse_schedule_line(line: &str) -> Result<Option<Schedule>, String> {
+/// schedule for a `ranks`-rank scenario. Lines not starting with
+/// `schedule ` (comments, blanks) return `Ok(None)`. Everything the
+/// executor would choke on is an error here instead: a kill of a rank
+/// the scenario lacks, occurrence 0 (occurrences are 1-based), a field
+/// given twice.
+fn parse_schedule_line(line: &str, ranks: usize) -> Result<Option<Schedule>, String> {
     let line = line.trim();
     let Some(rest) = line.strip_prefix("schedule ") else {
         return Ok(None);
     };
     let mut seed = None;
-    let mut kills = Vec::new();
+    let mut kills = None;
     let mut mask = None;
     for tok in rest.split_whitespace() {
         if let Some(v) = tok.strip_prefix("seed=") {
             let v = v.strip_prefix("0x").ok_or_else(|| format!("seed not hex: {tok}"))?;
-            seed = Some(u64::from_str_radix(v, 16).map_err(|e| format!("bad seed {tok}: {e}"))?);
+            let v = u64::from_str_radix(v, 16).map_err(|e| format!("bad seed {tok}: {e}"))?;
+            set_once(&mut seed, v, "seed")?;
         } else if let Some(v) = tok.strip_prefix("kills=[") {
             let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated kills: {tok}"))?;
+            let mut ks = Vec::new();
             for trip in v.split(',').filter(|t| !t.is_empty()) {
-                let mut parts = trip.split(':');
-                let victim = parts
-                    .next()
-                    .and_then(|p| p.parse::<usize>().ok())
-                    .ok_or_else(|| format!("bad victim in {trip}"))?;
-                let hook = parts
-                    .next()
-                    .and_then(hook_from_name)
-                    .ok_or_else(|| format!("bad hook in {trip}"))?;
-                let occurrence = parts
-                    .next()
-                    .and_then(|p| p.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad occurrence in {trip}"))?;
-                kills.push(Kill { victim, hook, occurrence });
+                ks.push(parse_kill(trip, ranks)?);
             }
+            set_once(&mut kills, ks, "kills")?;
         } else if let Some(v) = tok.strip_prefix("mask=[") {
             let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated mask: {tok}"))?;
             let mut m = Vec::new();
             for idx in v.split(',').filter(|t| !t.is_empty()) {
                 m.push(idx.parse::<u64>().map_err(|e| format!("bad mask index {idx}: {e}"))?);
             }
-            mask = Some(m);
+            set_once(&mut mask, m, "mask")?;
         }
         // Unknown tokens (novel=…, future fields) are ignored.
     }
     let seed = seed.ok_or_else(|| format!("schedule line without seed: {line}"))?;
-    Ok(Some(Schedule { seed, kills, delay_mask: mask }))
+    Ok(Some(Schedule { seed, kills: kills.unwrap_or_default(), delay_mask: mask }))
 }
 
-/// Load an evolved corpus file. Missing file = empty corpus (first
-/// campaign); unparseable content is an error, not a silent skip.
-fn load_corpus(path: &Path) -> Result<Vec<Schedule>, FuzzError> {
+/// Store a parsed field, rejecting a second occurrence of it.
+fn set_once<T>(slot: &mut Option<T>, v: T, field: &str) -> Result<(), String> {
+    if slot.replace(v).is_some() {
+        return Err(format!("{field}= given twice"));
+    }
+    Ok(())
+}
+
+/// Parse one `victim:Hook:occurrence` kill for a `ranks`-rank scenario.
+fn parse_kill(trip: &str, ranks: usize) -> Result<Kill, String> {
+    let mut parts = trip.split(':');
+    let victim = parts
+        .next()
+        .and_then(|p| p.parse::<usize>().ok())
+        .ok_or_else(|| format!("bad victim in {trip}"))?;
+    let hook =
+        parts.next().and_then(hook_from_name).ok_or_else(|| format!("bad hook in {trip}"))?;
+    let occurrence = parts
+        .next()
+        .and_then(|p| p.parse::<u64>().ok())
+        .filter(|&o| o >= 1)
+        .ok_or_else(|| format!("bad occurrence in {trip} (occurrences are 1-based)"))?;
+    if parts.next().is_some() {
+        return Err(format!("bad kill {trip}: expected victim:Hook:occurrence"));
+    }
+    if victim >= ranks {
+        return Err(format!(
+            "kill {trip} names rank {victim} but the scenario has {ranks} ranks \
+             (was this corpus evolved at a different --ranks?)"
+        ));
+    }
+    Ok(Kill { victim, hook, occurrence })
+}
+
+/// Load an evolved corpus file for a `ranks`-rank scenario. Missing
+/// file = empty corpus (first campaign); a malformed line is an error
+/// citing `path:line`, not a silent skip.
+fn load_corpus(path: &Path, ranks: usize) -> Result<Vec<Schedule>, FuzzError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -370,7 +398,7 @@ fn load_corpus(path: &Path) -> Result<Vec<Schedule>, FuzzError> {
     };
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        match parse_schedule_line(line) {
+        match parse_schedule_line(line, ranks) {
             Ok(Some(s)) => out.push(s),
             Ok(None) => {}
             Err(e) => {
@@ -522,23 +550,9 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     }
 
     let loaded = match &cfg.corpus {
-        Some(p) => load_corpus(p)?,
+        Some(p) => load_corpus(p, scenario.ranks)?,
         None => Vec::new(),
     };
-    // A corpus evolved at a larger world size names victims this
-    // scenario has no rank for; reject it up front instead of letting
-    // an out-of-range kill fail deep inside the executor.
-    for (i, s) in loaded.iter().enumerate() {
-        if let Some(k) = s.kills.iter().find(|k| k.victim >= scenario.ranks) {
-            return Err(FuzzError::Corpus(format!(
-                "corpus entry {} kills rank {} but the scenario has {} ranks \
-                 (was this corpus evolved at a different --ranks?)",
-                i + 1,
-                k.victim,
-                scenario.ranks
-            )));
-        }
-    }
 
     let begun = Instant::now();
     let mut rng = SplitMix64::new(cfg.seed ^ FUZZ_SALT);
@@ -698,23 +712,83 @@ mod tests {
             delay_mask: Some(vec![1, 5, 299]),
         };
         let line = format!("schedule {} novel=7", render_schedule(&s));
-        let parsed = parse_schedule_line(&line).unwrap().unwrap();
+        let parsed = parse_schedule_line(&line, 4).unwrap().unwrap();
         assert_eq!(parsed.seed, s.seed);
         assert_eq!(parsed.kills, s.kills);
         assert_eq!(parsed.delay_mask, s.delay_mask);
         // No mask: stays None through the round trip.
         let bare = Schedule { seed: 1, kills: Vec::new(), delay_mask: None };
-        let parsed = parse_schedule_line(&format!("schedule {}", render_schedule(&bare)))
+        let parsed = parse_schedule_line(&format!("schedule {}", render_schedule(&bare)), 4)
             .unwrap()
             .unwrap();
         assert_eq!(parsed.delay_mask, None);
         assert!(parsed.kills.is_empty());
         // Comments and blanks are skipped.
-        assert!(parse_schedule_line("# comment").unwrap().is_none());
-        assert!(parse_schedule_line("").unwrap().is_none());
+        assert!(parse_schedule_line("# comment", 4).unwrap().is_none());
+        assert!(parse_schedule_line("", 4).unwrap().is_none());
         // Garbage is an error, not a skip.
-        assert!(parse_schedule_line("schedule seed=12").is_err());
-        assert!(parse_schedule_line("schedule kills=[]").is_err());
+        assert!(parse_schedule_line("schedule seed=12", 4).is_err());
+        assert!(parse_schedule_line("schedule kills=[]", 4).is_err());
+    }
+
+    /// Every seed-derived schedule — all seven kill shapes, 4 and 8
+    /// ranks, masked shapes included — renders to a corpus line that
+    /// parses back to the same schedule.
+    #[test]
+    fn derived_schedules_round_trip_through_corpus_lines() {
+        for ranks in [4usize, 8] {
+            for shape in KillShape::ALL {
+                let cfg = ScenarioCfg { ranks, shape, ..ScenarioCfg::default() };
+                for seed in 0..64u64 {
+                    let s = Schedule::from_seed(seed.wrapping_mul(0x9E37_79B9), &cfg);
+                    let line = format!("schedule {} novel=1", render_schedule(&s));
+                    let parsed = parse_schedule_line(&line, ranks)
+                        .unwrap_or_else(|e| panic!("{line}: {e}"))
+                        .expect("a schedule line");
+                    assert_eq!(parsed.seed, s.seed, "{line}");
+                    assert_eq!(parsed.kills, s.kills, "{line}");
+                    assert_eq!(parsed.delay_mask, s.delay_mask, "{line}");
+                }
+            }
+        }
+    }
+
+    /// Malformed corpus lines are rejected with `path:line` and never
+    /// panic — including occurrence 0, which used to reach the
+    /// 1-based trigger and panic the campaign.
+    #[test]
+    fn malformed_corpus_lines_are_rejected_with_path_and_line() {
+        let cases = [
+            ("schedule seed=0x1 kills=[1:Tick", "unterminated kills"),
+            ("schedule seed=0x1 kills=[1:Bogus:3]", "bad hook"),
+            ("schedule seed=0x1 kills=[1:Tick:0]", "1-based"),
+            ("schedule seed=0x1 kills=[1:Tick:3:9]", "expected victim:Hook:occurrence"),
+            ("schedule seed=12 kills=[]", "seed not hex"),
+            ("schedule seed=0xzz kills=[]", "bad seed"),
+            ("schedule kills=[1:Tick:3]", "without seed"),
+            ("schedule seed=0x1 kills=[9:Tick:3]", "names rank 9 but the scenario has 4 ranks"),
+            ("schedule seed=0x1 seed=0x2 kills=[]", "seed= given twice"),
+            ("schedule seed=0x1 kills=[] mask=[1,x]", "bad mask index"),
+        ];
+        let dir = std::env::temp_dir();
+        for (i, (bad, needle)) in cases.iter().enumerate() {
+            let path = dir.join(format!("dst_malformed_{}_{i}.corpus", std::process::id()));
+            // The bad line sits on line 3, after a header and a good line.
+            let text = format!("# dst fuzz corpus v1\nschedule seed=0x2 kills=[0:Tick:1]\n{bad}\n");
+            std::fs::write(&path, text).unwrap();
+            let err = load_corpus(&path, 4);
+            let _ = std::fs::remove_file(&path);
+            match err {
+                Err(FuzzError::Corpus(msg)) => {
+                    assert!(
+                        msg.starts_with(&format!("{}:3: ", path.display())),
+                        "{bad}: no path:line in {msg}"
+                    );
+                    assert!(msg.contains(needle), "{bad}: expected {needle:?} in {msg}");
+                }
+                other => panic!("{bad}: accepted or wrong error: {other:?}"),
+            }
+        }
     }
 
     #[test]

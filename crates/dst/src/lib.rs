@@ -46,12 +46,9 @@ pub mod triage;
 pub use coverage::{CoverageSet, EdgeKind};
 pub use fuzz::{fuzz, FuzzCfg, FuzzError, FuzzReport};
 pub use oracle::{all_oracles, check_all, Oracle, Violation};
-pub use scenario::{
-    run_schedule, run_schedule_with, run_seed, run_seed_quiet, Kill, KillShape, Observation,
-    Retention, ScenarioCfg, Schedule, SeedRunner,
-};
+pub use scenario::{Kill, KillShape, Observation, Retention, ScenarioCfg, Schedule, SeedRunner};
 pub use faultsim::{CoverageStats, HandoffStats, RunStats};
-pub use sched::{SchedEvent, SchedTuning, Scheduler, SplitMix64};
+pub use sched::{SchedEvent, Scheduler, SplitMix64};
 pub use shrink::{shrink, Ev, Shrunk};
 pub use sweep::{sweep, CorpusWrite, FailureSummary, SweepCfg, SweepError, SweepReport};
 pub use triage::{triage, triage_trace, TriageReport, WaitEdge, WaitKind};
@@ -80,11 +77,11 @@ pub fn explore(start: u64, count: u64, cfg: &ScenarioCfg) -> Result<Vec<SeedResu
         .ok_or(SweepError::SeedRangeOverflow { start, count })?;
     // One persistent executor pool for the whole range: seeds run
     // back-to-back on the same rank threads (observations are identical
-    // to spawn-per-run; the golden-log suite pins this).
+    // to a fresh runner's; the golden-log suite pins this).
     let mut runner = SeedRunner::new(cfg.ranks);
     Ok((start..end)
         .map(|seed| {
-            let observation = runner.run_seed(seed, cfg);
+            let observation = runner.run_seed(seed, cfg, Retention::Full);
             let violations = check_all(&observation);
             SeedResult { seed, violations, observation }
         })
@@ -94,6 +91,14 @@ pub fn explore(start: u64, count: u64, cfg: &ScenarioCfg) -> Result<Vec<SeedResu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_seed(seed: u64, cfg: &ScenarioCfg) -> Observation {
+        SeedRunner::new(cfg.ranks).run_seed(seed, cfg, Retention::Full)
+    }
+
+    fn run_schedule(schedule: &Schedule, cfg: &ScenarioCfg) -> Observation {
+        SeedRunner::new(cfg.ranks).run_schedule_with(schedule, cfg, Retention::Full)
+    }
 
     /// The deliberately injected bug — dedup disabled, i.e. the
     /// iteration-marker check of Fig. 10 reverted — is caught by the
@@ -199,7 +204,7 @@ mod tests {
             let cfg = ScenarioCfg { buggy_dedup, ..ScenarioCfg::default() };
             for seed in [0x2du64, 0x2f, 3, 11] {
                 let full = run_seed(seed, &cfg);
-                let quiet = run_seed_quiet(seed, &cfg);
+                let quiet = SeedRunner::new(cfg.ranks).run_seed(seed, &cfg, Retention::Quiet);
                 assert!(quiet.log.is_empty(), "quiet run retained a log");
                 assert!(quiet.delay_calls.is_empty(), "quiet run retained delays");
                 assert_eq!(full.outcomes, quiet.outcomes, "seed {seed:#x}");

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! dst explore --seeds 1000 [--start 0] [--jobs N] [--corpus PATH]
-//!             [--shrink-failures] [--max-failures N] [--no-pool]
-//!             [--stats] [--threads-budget N]
+//!             [--shrink-failures] [--max-failures N] [--stats]
 //!             [--shape <name|all>] [--buggy] [--ranks 4] [--iters 3]
 //! dst fuzz    --budget 20000 [--seed S] [--corpus PATH] [--stats]
 //!             [--max-failures N] [--ranks 4] [--iters 3]
@@ -12,19 +11,18 @@
 //! dst determinism --seed 0xBEEF [--shape NAME] [--buggy]
 //! ```
 //!
-//! `explore` fans the sweep out over a worker pool (default: one worker
-//! per core) — per-seed verdicts are identical whatever `--jobs` is,
-//! because determinism lives inside each seed's self-contained
+//! `explore` fans the sweep out over worker threads, each running its
+//! seeds on a persistent rank-executor pool. Workers default to
+//! `max(12 × cores, 48) / ranks`, so `workers × ranks` stays within
+//! that rank-thread budget; an explicit `--jobs N` is capped at the
+//! same bound. Per-seed verdicts are identical whatever the worker
+//! count, because determinism lives inside each seed's self-contained
 //! simulation. Failing seeds can be written to a `--corpus` file as
 //! one-line repros, ddmin-minimized first with `--shrink-failures`.
-//! Each worker runs its seeds on a persistent rank-executor pool;
-//! `--no-pool` falls back to spawning fresh rank threads per schedule
-//! (identical verdicts, for A/B comparison and benchmarking).
 //!
 //! `--stats` appends the scheduler's handoff counters (steps, grants,
-//! elided handoffs, parks, spin iterations) to the explore summary;
-//! `--threads-budget N` overrides the auto-sized rank-thread budget
-//! (`max(12 × cores, 48)`) that `workers × ranks` is kept under.
+//! self-grants, parks) plus allocation and coverage totals to the
+//! explore summary.
 //!
 //! `--shape` selects a kill-shape family from the DESIGN.md §8.8
 //! taxonomy (`pair`, `triple`, `root-chain`, `cascade`, `validate`,
@@ -47,8 +45,8 @@ use std::process::ExitCode;
 
 use dst::sweep::write_lines;
 use dst::{
-    check_all, fuzz, run_seed, shrink, sweep, CorpusWrite, FuzzCfg, KillShape, ScenarioCfg,
-    SweepCfg,
+    check_all, fuzz, shrink, sweep, CorpusWrite, FuzzCfg, KillShape, Retention, ScenarioCfg,
+    SeedRunner, SweepCfg,
 };
 
 /// Largest world size the CLI accepts: every rank is a live executor
@@ -59,9 +57,6 @@ const MAX_RANKS: u64 = 256;
 const MAX_JOBS: u64 = 1024;
 /// Retained-failure cap; the map is O(max-failures) memory.
 const MAX_MAX_FAILURES: u64 = 1_000_000;
-/// Rank-thread-budget cap; the budget bounds `workers × ranks`, so
-/// anything beyond this is a typo, not a bigger machine.
-const MAX_THREADS_BUDGET: u64 = 65_536;
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     let r = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -109,15 +104,13 @@ struct Args {
     shape_given: bool,
     /// `None`: the flag was not given (only fuzz has a default).
     budget: Option<u64>,
-    /// `None`: auto (one worker per core). `Some(n)`: exactly `n`.
+    /// `None`: auto (`max(12 × cores, 48) / ranks` workers). `Some(n)`:
+    /// `n`, capped at that bound.
     jobs: Option<usize>,
     max_failures: usize,
     corpus: Option<PathBuf>,
     shrink_failures: bool,
-    no_pool: bool,
     stats: bool,
-    /// `None`: auto (`max(12 × cores, 48)` rank threads).
-    threads_budget: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -140,9 +133,7 @@ fn parse_args() -> Result<Args, String> {
         max_failures: 100,
         corpus: None,
         shrink_failures: false,
-        no_pool: false,
         stats: false,
-        threads_budget: None,
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -184,15 +175,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
             "--shrink-failures" => args.shrink_failures = true,
-            "--no-pool" => args.no_pool = true,
             "--stats" => args.stats = true,
-            "--threads-budget" => {
-                args.threads_budget = Some(parse_capped_usize(
-                    &value("--threads-budget")?,
-                    "--threads-budget",
-                    MAX_THREADS_BUDGET,
-                )?)
-            }
             "--buggy" => args.buggy = true,
             "--log" => args.show_log = true,
             "--triage" => args.triage = true,
@@ -261,9 +244,6 @@ fn validate(args: &Args) -> Result<(), String> {
         if args.max_failures == 0 {
             return Err(format!("--max-failures must be at least 1\n{}", usage()));
         }
-        if args.threads_budget == Some(0) {
-            return Err(format!("--threads-budget must be at least 1\n{}", usage()));
-        }
     } else if args.cmd == "fuzz" {
         if args.shape_given {
             // The seeding phase derives through all seven shapes and
@@ -287,12 +267,9 @@ fn validate(args: &Args) -> Result<(), String> {
         if args.max_failures == 0 {
             return Err(format!("--max-failures must be at least 1\n{}", usage()));
         }
-        for (on, flag) in [
-            (args.jobs.is_some(), "--jobs"),
-            (args.no_pool, "--no-pool"),
-            (args.shrink_failures, "--shrink-failures"),
-            (args.threads_budget.is_some(), "--threads-budget"),
-        ] {
+        for (on, flag) in
+            [(args.jobs.is_some(), "--jobs"), (args.shrink_failures, "--shrink-failures")]
+        {
             if on {
                 // The campaign is a single sequential chain — each
                 // mutation depends on every prior run's coverage — so
@@ -300,22 +277,9 @@ fn validate(args: &Args) -> Result<(), String> {
                 return Err(format!("{flag} only applies to explore\n{}", usage()));
             }
         }
-    } else {
-        if args.no_pool {
-            // replay/shrink/determinism always run spawn-per-run;
-            // accepting the flag there would imply it changes
-            // something.
-            return Err(format!("--no-pool only applies to explore\n{}", usage()));
-        }
-        if args.stats {
-            // Only the sweep and fuzz engines aggregate run stats.
-            return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
-        }
-        if args.threads_budget.is_some() {
-            // replay/shrink/determinism run one universe; there is no
-            // worker fan-out for the budget to size.
-            return Err(format!("--threads-budget only applies to explore\n{}", usage()));
-        }
+    } else if args.stats {
+        // Only the sweep and fuzz engines aggregate run stats.
+        return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
     }
     if args.triage && args.cmd != "replay" {
         // Explore prints triage on its failure lines unconditionally;
@@ -330,8 +294,7 @@ fn usage() -> String {
     "usage: dst <explore|fuzz|replay|shrink|determinism> \
      [--seed S] [--seeds N] [--start S] [--budget N] [--jobs N] \
      [--corpus PATH] \
-     [--shrink-failures] [--max-failures N] [--no-pool] \
-     [--stats] [--threads-budget N] \
+     [--shrink-failures] [--max-failures N] [--stats] \
      [--shape <pair|triple|root-chain|cascade|validate|spaced|masked|all>] \
      [--buggy] [--ranks N] [--iters N] [--log] [--triage]"
         .to_string()
@@ -373,8 +336,6 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         .jobs(args.jobs.unwrap_or(0))
         .max_failures(args.max_failures)
         .shrink_failures(args.shrink_failures)
-        .use_pool(!args.no_pool)
-        .threads_budget(args.threads_budget.unwrap_or(0))
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -456,18 +417,14 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
 fn print_stats(stats: &dst::RunStats, runs: u64, tag: &str) {
     let h = &stats.handoff;
     println!(
-        "stats {tag}: {} steps, {} grants \
-         ({} elided: {} self, {} spin; {} pre-park), \
-         {} parks, {} unparks, {} spin iters, {} park-safety timeouts",
+        "stats {tag}: {} steps, {} grants ({} self, {} pre-park), \
+         {} parks, {} unparks, {} park-safety timeouts",
         h.steps,
         h.grants,
-        h.elided(),
         h.self_grants,
-        h.spin_grants,
         h.prepark_grants,
         h.parks,
         h.unparks,
-        h.spin_iters,
         h.park_safety_timeouts
     );
     let a = &stats.alloc;
@@ -539,7 +496,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
 fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
     let cfg = cfg_of(args, one_shape(args))?;
-    let obs = run_seed(seed, &cfg);
+    let obs = SeedRunner::new(cfg.ranks).run_seed(seed, &cfg, Retention::Full);
     println!(
         "seed {seed:#x} ({} ranks, {} iters, shape {})",
         cfg.ranks, cfg.max_iter, cfg.shape
@@ -599,8 +556,11 @@ fn cmd_shrink(args: &Args) -> Result<ExitCode, String> {
 fn cmd_determinism(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
     let cfg = cfg_of(args, one_shape(args))?;
-    let a = run_seed(seed, &cfg);
-    let b = run_seed(seed, &cfg);
+    // The second run reuses the first one's runner, so this also checks
+    // that the pool's reset leaves nothing behind.
+    let mut runner = SeedRunner::new(cfg.ranks);
+    let a = runner.run_seed(seed, &cfg, Retention::Full);
+    let b = runner.run_seed(seed, &cfg, Retention::Full);
     if a.log == b.log {
         println!(
             "seed {seed:#x}: two runs, byte-identical decision log ({} bytes)",

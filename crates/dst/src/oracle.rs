@@ -335,7 +335,11 @@ pub fn check_all(obs: &Observation) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_seed, ScenarioCfg};
+    use crate::scenario::{Observation, Retention, ScenarioCfg, SeedRunner};
+
+    fn run_seed(seed: u64, cfg: &ScenarioCfg) -> Observation {
+        SeedRunner::new(cfg.ranks).run_seed(seed, cfg, Retention::Full)
+    }
 
     #[test]
     fn failure_free_run_passes_every_oracle() {

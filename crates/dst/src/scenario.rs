@@ -4,7 +4,7 @@
 //! from another: the PRNG seed (which fixes every scheduler decision),
 //! the kill-set (which ranks are fail-stopped, where in the protocol),
 //! and optionally an explicit delay-mask (which mailbox drains hold
-//! messages back). [`run_schedule`] executes one schedule over the
+//! messages back). A [`SeedRunner`] executes one schedule over the
 //! fault-tolerant ring and returns an [`Observation`] — the flattened
 //! facts the [`crate::oracle`] checkers judge.
 //!
@@ -15,13 +15,12 @@
 
 use std::sync::Arc;
 
-use allocstats::AllocStats;
 use faultsim::{FaultPlan, HookKind, RunStats};
-use ftmpi::{run, RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
+use ftmpi::{RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
 use ftring::{run_ring, RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
-use crate::sched::{SchedTuning, Scheduler, SplitMix64};
+use crate::sched::{Scheduler, SplitMix64};
 
 /// Stream salt so kill derivation never collides with the scheduler's
 /// decision stream for the same seed.
@@ -153,12 +152,6 @@ pub struct ScenarioCfg {
     /// (hardened ring only; the buggy configuration keeps its own
     /// Fig. 8 derivation).
     pub shape: KillShape,
-    /// Scheduler handoff tuning (self-grant fast path, spin budget).
-    /// Schedule-invisible: any tuning executes the identical decision
-    /// sequence; only the park/wake mechanics differ. The sweep engine
-    /// overrides the spin policy when its worker count saturates the
-    /// machine.
-    pub tuning: SchedTuning,
 }
 
 impl Default for ScenarioCfg {
@@ -169,7 +162,6 @@ impl Default for ScenarioCfg {
             buggy_dedup: false,
             step_budget: 200_000,
             shape: KillShape::Pair,
-            tuning: SchedTuning::default(),
         }
     }
 }
@@ -255,12 +247,6 @@ impl ScenarioBuilder {
     /// Kill-shape family (`--shape`).
     pub fn shape(mut self, s: KillShape) -> Self {
         self.cfg.shape = s;
-        self
-    }
-
-    /// Scheduler handoff tuning (schedule-invisible).
-    pub fn tuning(mut self, t: SchedTuning) -> Self {
-        self.cfg.tuning = t;
         self
     }
 
@@ -644,31 +630,17 @@ pub enum Retention {
     Quiet,
 }
 
-/// Execute one schedule deterministically and observe the result.
-pub fn run_schedule(schedule: &Schedule, cfg: &ScenarioCfg) -> Observation {
-    run_schedule_with(schedule, cfg, Retention::Full)
-}
-
-/// [`run_schedule`] with an explicit retention policy.
-pub fn run_schedule_with(
-    schedule: &Schedule,
-    cfg: &ScenarioCfg,
-    retention: Retention,
-) -> Observation {
-    execute(None, schedule, cfg, retention, None)
-}
-
-/// A reusable schedule executor: one persistent [`UniversePool`] at a
-/// fixed rank count, running schedules back-to-back without per-run
-/// thread spawns or universe-state reallocation.
+/// The schedule executor: one persistent [`UniversePool`] at a fixed
+/// rank count, running schedules back-to-back without per-run thread
+/// spawns or universe-state reallocation. It is the only way to run a
+/// schedule.
 ///
-/// The observation for any schedule is **byte-identical** to the
-/// spawn-per-run [`run_schedule_with`] path — the scheduler's dispatch
-/// barrier serializes ranks regardless of how their threads came to
-/// life, and the pool's reset protocol rewinds all shared state (the
-/// golden-log suite pins this in both modes). The sweep engine holds
-/// one runner per worker; `dst explore --no-pool` falls back to
-/// spawn-per-run.
+/// The observation for any schedule is **byte-identical** whether the
+/// runner is fresh or has run other schedules before — the scheduler's
+/// dispatch barrier serializes ranks regardless of how their threads
+/// came to life, and the pool's reset protocol rewinds all shared
+/// state (the golden-log suite pins both). The sweep engine holds one
+/// runner per worker.
 pub struct SeedRunner {
     pool: UniversePool,
     /// Scratch schedule reused across [`SeedRunner::run_seed`] calls:
@@ -708,71 +680,47 @@ impl SeedRunner {
         }
     }
 
-    /// [`run_schedule_with`], on the persistent pool.
+    /// Execute one schedule deterministically and observe the result.
     pub fn run_schedule_with(
         &mut self,
         schedule: &Schedule,
         cfg: &ScenarioCfg,
         retention: Retention,
     ) -> Observation {
-        assert_eq!(
-            cfg.ranks,
-            self.pool.size(),
-            "scenario rank count does not match this runner's pool"
-        );
+        self.check_ranks(cfg);
         let spare = self.spares.pop();
-        execute(Some(&mut self.pool), schedule, cfg, retention, spare)
+        execute(&mut self.pool, schedule, cfg, retention, spare)
     }
 
-    /// [`run_seed`], on the persistent pool.
-    pub fn run_seed(&mut self, seed: u64, cfg: &ScenarioCfg) -> Observation {
-        self.run_seed_with(seed, cfg, Retention::Full)
-    }
-
-    /// [`run_seed_quiet`], on the persistent pool.
-    pub fn run_seed_quiet(&mut self, seed: u64, cfg: &ScenarioCfg) -> Observation {
-        self.run_seed_with(seed, cfg, Retention::Quiet)
-    }
-
-    /// Derive into the runner's scratch schedule (no per-seed
-    /// allocation once the vectors are warm) and execute it, counting
-    /// the derivation's heap traffic into the observation.
-    fn run_seed_with(
-        &mut self,
-        seed: u64,
-        cfg: &ScenarioCfg,
-        retention: Retention,
-    ) -> Observation {
-        assert_eq!(
-            cfg.ranks,
-            self.pool.size(),
-            "scenario rank count does not match this runner's pool"
-        );
+    /// Derive the schedule for `seed` into the runner's scratch
+    /// schedule (no per-seed allocation once the vectors are warm) and
+    /// execute it, counting the derivation's heap traffic into the
+    /// observation.
+    pub fn run_seed(&mut self, seed: u64, cfg: &ScenarioCfg, retention: Retention) -> Observation {
+        self.check_ranks(cfg);
         let before = allocstats::snapshot();
         Schedule::from_seed_into(seed, cfg, &mut self.derive);
         let derive = allocstats::snapshot().since(&before);
         let spare = self.spares.pop();
-        let mut obs = execute(Some(&mut self.pool), &self.derive, cfg, retention, spare);
+        let mut obs = execute(&mut self.pool, &self.derive, cfg, retention, spare);
         obs.stats.alloc.add(&derive);
         obs
     }
+
+    fn check_ranks(&self, cfg: &ScenarioCfg) {
+        assert_eq!(
+            cfg.ranks,
+            self.pool.size(),
+            "scenario rank count does not match this runner's pool"
+        );
+    }
 }
 
-/// Derive the schedule for `seed` while counting the derivation's own
-/// heap traffic, so seed-level entry points attribute it to the
-/// observation (`dst explore --stats` reports whole-schedule numbers).
-fn derive_measured(seed: u64, cfg: &ScenarioCfg) -> (Schedule, AllocStats) {
-    let before = allocstats::snapshot();
-    let schedule = Schedule::from_seed(seed, cfg);
-    (schedule, allocstats::snapshot().since(&before))
-}
-
-/// The one execution path behind both the pooled and spawn-per-run
-/// entry points; they differ only in who provides the rank threads.
-/// `spare` is an optional recycled schedule whose buffers become the
-/// observation's schedule copy (no fresh clone allocation).
+/// Run `schedule` on `pool`. `spare` is an optional recycled schedule
+/// whose buffers become the observation's schedule copy (no fresh
+/// clone allocation).
 fn execute(
-    pool: Option<&mut UniversePool>,
+    pool: &mut UniversePool,
     schedule: &Schedule,
     cfg: &ScenarioCfg,
     retention: Retention,
@@ -782,18 +730,13 @@ fn execute(
     // construction, plan fold, outcome flattening); the rank bodies'
     // traffic arrives separately via `RunReport::alloc`.
     let alloc_before = allocstats::snapshot();
-    let sched = match (&schedule.delay_mask, retention) {
-        (Some(mask), Retention::Full) => {
-            Scheduler::with_delay_mask(cfg.ranks, schedule.seed, cfg.step_budget, mask)
-        }
-        (Some(mask), Retention::Quiet) => {
-            // The masked kill shape sweeps explicit masks at volume.
-            Scheduler::with_delay_mask_quiet(cfg.ranks, schedule.seed, cfg.step_budget, mask)
-        }
-        (None, Retention::Full) => Scheduler::new(cfg.ranks, schedule.seed, cfg.step_budget),
-        (None, Retention::Quiet) => Scheduler::quiet(cfg.ranks, schedule.seed, cfg.step_budget),
-    };
-    let sched = Arc::new(sched.tuned(cfg.tuning));
+    let sched = Arc::new(Scheduler::new(
+        cfg.ranks,
+        schedule.seed,
+        cfg.step_budget,
+        schedule.delay_mask.as_deref(),
+        retention,
+    ));
     let plan = schedule
         .kills
         .iter()
@@ -801,10 +744,7 @@ fn execute(
     let ucfg = UniverseConfig::with_plan(plan).traced().sim(sched.clone());
     let ring = cfg.ring_config();
     let f = move |p: &mut ftmpi::Process| run_ring(p, WORLD, &ring);
-    let report = match pool {
-        Some(pool) => pool.run(ucfg, f),
-        None => run(cfg.ranks, ucfg, f),
-    };
+    let report = pool.run(ucfg, f);
 
     let mut outcomes = Vec::with_capacity(report.outcomes.len());
     let mut ring_stats = Vec::with_capacity(report.outcomes.len());
@@ -858,23 +798,6 @@ fn execute(
     // Snapshot *after* assembly so the observation's own work counts.
     let harness = allocstats::snapshot().since(&alloc_before);
     obs.stats.alloc.add(&harness);
-    obs
-}
-
-/// Convenience: derive the schedule for `seed` and run it.
-pub fn run_seed(seed: u64, cfg: &ScenarioCfg) -> Observation {
-    let (schedule, derive) = derive_measured(seed, cfg);
-    let mut obs = run_schedule(&schedule, cfg);
-    obs.stats.alloc.add(&derive);
-    obs
-}
-
-/// [`run_seed`] without log retention ([`Retention::Quiet`]) — the
-/// sweep engine's per-seed workhorse.
-pub fn run_seed_quiet(seed: u64, cfg: &ScenarioCfg) -> Observation {
-    let (schedule, derive) = derive_measured(seed, cfg);
-    let mut obs = run_schedule_with(&schedule, cfg, Retention::Quiet);
-    obs.stats.alloc.add(&derive);
     obs
 }
 

@@ -1,15 +1,14 @@
 //! Parallel seed-sweep engine.
 //!
 //! [`sweep`] is the multi-worker replacement for running seeds one at a
-//! time: a pool of worker threads (default
-//! `std::thread::available_parallelism()`) pulls seed chunks from a
-//! shared atomic cursor, runs each seed's fully self-contained
-//! simulation ([`run_seed`] plus the oracles), and streams a compact
-//! per-seed verdict into an aggregator. Determinism lives entirely
-//! inside `run_seed` — every universe owns its scheduler, fabric,
-//! injector, boards and trace, and nothing is process-global — so the
-//! per-seed verdicts are identical whatever the worker count; only
-//! wall-clock time changes.
+//! time: a set of worker threads (sized by `workers`) pulls seed
+//! chunks from a shared atomic cursor, runs each seed's fully
+//! self-contained simulation ([`SeedRunner::run_seed`] plus the
+//! oracles), and streams a compact per-seed verdict into an
+//! aggregator. Determinism lives entirely inside the run — every
+//! universe owns its scheduler, fabric, injector, boards and trace,
+//! and nothing is process-global — so the per-seed verdicts are
+//! identical whatever the worker count; only wall-clock time changes.
 //!
 //! The aggregator keeps **streaming summaries**, not observations: a
 //! green seed costs three counter bumps, and a failing seed is folded
@@ -34,13 +33,36 @@ use faultsim::{CoverageStats, RunStats};
 
 use crate::coverage::CoverageSet;
 use crate::oracle::check_all;
-use crate::scenario::{run_seed_quiet, Observation, ScenarioCfg, SeedRunner};
+use crate::scenario::{Observation, Retention, ScenarioCfg, SeedRunner};
 use crate::shrink::shrink;
 
 /// Seeds claimed per cursor pull. Small enough that workers stay
 /// balanced at the tail of a sweep, large enough that the cursor is not
 /// contended.
 const CHUNK: u64 = 8;
+
+/// Rank threads a sweep keeps per core. Each worker universe has
+/// `ranks` threads but at most one of them runnable (the scheduler
+/// serializes it), so one worker per core under-fills the machine
+/// whenever ranks sit blocked in the handoff; ~12 threads per core sits
+/// inside the measured throughput plateau.
+const THREADS_PER_CORE: usize = 12;
+
+/// Floor on the rank-thread budget, so small hosts still run several
+/// universes side by side.
+const MIN_THREADS: usize = 48;
+
+/// Worker count for a sweep of `count` seeds at `ranks` ranks on
+/// `cores` cores: at most `max(12 × cores, 48) / ranks` workers (at
+/// least one), so `workers × ranks` stays within the rank-thread
+/// budget. `jobs = 0` takes that bound; an explicit `jobs` is capped at
+/// it. Never more workers than seeds.
+fn workers(jobs: usize, ranks: usize, count: u64, cores: usize) -> usize {
+    let cap = ((THREADS_PER_CORE * cores).max(MIN_THREADS) / ranks.max(1)).max(1);
+    let jobs = if jobs == 0 { cap } else { jobs.min(cap) };
+    // More workers than seeds just park on an empty cursor.
+    jobs.min(usize::try_from(count).unwrap_or(usize::MAX)).max(1)
+}
 
 /// How a sweep is shaped: the seed range and the engine knobs.
 #[derive(Debug, Clone)]
@@ -49,7 +71,9 @@ pub struct SweepCfg {
     pub start: u64,
     /// Number of seeds (`start..start + count`).
     pub count: u64,
-    /// Worker threads; `0` means `std::thread::available_parallelism()`.
+    /// Worker threads; `0` means the rank-thread bound
+    /// `max(12 × cores, 48) / ranks`, and an explicit value is capped at
+    /// that bound.
     pub jobs: usize,
     /// Cap on retained failure summaries (the lowest failing seeds are
     /// kept; everything beyond the cap is counted, not stored).
@@ -57,35 +81,11 @@ pub struct SweepCfg {
     /// ddmin-minimize each retained failure after the sweep, so corpus
     /// lines carry a minimal event set.
     pub shrink_failures: bool,
-    /// Run each worker's seeds on a persistent [`SeedRunner`] (reused
-    /// rank threads and universe state) instead of spawn-per-run.
-    /// Verdicts are identical either way — the pool's reset protocol is
-    /// pinned byte-identical by the golden-log suite — so `false`
-    /// exists for A/B comparison (`dst explore --no-pool`, the bench
-    /// baselines), not correctness.
-    pub use_pool: bool,
-    /// Total rank-thread budget for the sweep (`workers × ranks` stays
-    /// at or under it); `0` means auto: `max(12 × cores, 48)`. Each
-    /// worker universe has at most one runnable rank at a time (the
-    /// scheduler serializes it), so the budget bounds *runnable*
-    /// oversubscription at ~12 threads per core — inside the measured
-    /// plateau — rather than naively one worker per core, which
-    /// under-fills the machine whenever ranks spend time blocked in
-    /// handoff. Override with `dst explore --threads-budget N`.
-    pub threads_budget: usize,
 }
 
 impl Default for SweepCfg {
     fn default() -> Self {
-        SweepCfg {
-            start: 0,
-            count: 100,
-            jobs: 0,
-            max_failures: 100,
-            shrink_failures: false,
-            use_pool: true,
-            threads_budget: 0,
-        }
+        SweepCfg { start: 0, count: 100, jobs: 0, max_failures: 100, shrink_failures: false }
     }
 }
 
@@ -145,18 +145,6 @@ impl SweepBuilder {
     /// ddmin-minimize retained failures (`--shrink-failures`).
     pub fn shrink_failures(mut self, on: bool) -> Self {
         self.cfg.shrink_failures = on;
-        self
-    }
-
-    /// Persistent per-worker executor pools (`--no-pool` turns off).
-    pub fn use_pool(mut self, on: bool) -> Self {
-        self.cfg.use_pool = on;
-        self
-    }
-
-    /// Total rank-thread budget; 0 = auto (`--threads-budget`).
-    pub fn threads_budget(mut self, n: usize) -> Self {
-        self.cfg.threads_budget = n;
         self
     }
 
@@ -475,28 +463,20 @@ pub(crate) struct SeedVerdict {
 
 /// Run one seed and fold it into a verdict.
 ///
-/// Seeds run **zero-retention** ([`run_seed_quiet`]): the scheduler
+/// Seeds run **zero-retention** ([`Retention::Quiet`]): the scheduler
 /// never accumulates a decision log or delay list, because the oracles
 /// judge only the trace, outcomes, stats and hang flags. Nothing is
 /// lost: the summary carries the seed, and replay/shrinking re-run it
 /// with full recording — determinism makes the re-run the identical
 /// schedule, so the log is recoverable on demand instead of being paid
 /// for on every green seed.
-fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: Option<&mut SeedRunner>) -> SeedVerdict {
-    match runner {
-        Some(r) => {
-            let mut obs = r.run_seed_quiet(seed, scenario);
-            let verdict = fold_verdict(seed, &mut obs);
-            // The observation's buffers go back to the runner: the
-            // next seed's schedule copy reuses them (§8.10).
-            r.recycle(obs);
-            verdict
-        }
-        None => {
-            let mut obs = run_seed_quiet(seed, scenario);
-            fold_verdict(seed, &mut obs)
-        }
-    }
+fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: &mut SeedRunner) -> SeedVerdict {
+    let mut obs = runner.run_seed(seed, scenario, Retention::Quiet);
+    let verdict = fold_verdict(seed, &mut obs);
+    // The observation's buffers go back to the runner: the next seed's
+    // schedule copy reuses them (§8.10).
+    runner.recycle(obs);
+    verdict
 }
 
 /// Judge one observation and compress it to the streaming verdict.
@@ -541,28 +521,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     cfg.validate()?;
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Size workers against the total rank-thread budget rather than the
-    // core count: each worker universe contributes `ranks` threads but
-    // at most one of them is runnable at a time (the scheduler
-    // serializes it), so cores alone wildly under-fill the machine.
-    let budget = if cfg.threads_budget == 0 { (12 * cores).max(48) } else { cfg.threads_budget };
-    let cap = (budget / scenario.ranks.max(1)).max(1);
-    let jobs = match cfg.jobs {
-        0 => cap,
-        n => n.min(cap),
-    };
-    // More workers than seeds just park on an empty cursor.
-    let jobs = jobs.min(cfg.count.min(usize::MAX as u64) as usize).max(1);
-
-    // When the sweep oversubscribes the cores — the normal case under
-    // the budget — spinning in the handoff paths only burns cycles
-    // another worker's runnable rank could use. Force it off unless the
-    // caller pinned an explicit spin limit.
-    let mut scenario = *scenario;
-    if scenario.tuning.spin.is_none() && jobs.saturating_mul(scenario.ranks) >= cores {
-        scenario.tuning.spin = Some(0);
-    }
-    let scenario = &scenario;
+    let jobs = workers(cfg.jobs, scenario.ranks, cfg.count, cores);
 
     let begun = Instant::now();
     // The cursor hands out *offsets* in `0..count`, never absolute
@@ -577,7 +536,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
                 // One persistent executor pool per worker: every seed
                 // this worker claims reuses the same rank threads and
                 // universe state instead of spawning a fresh set.
-                let mut runner = cfg.use_pool.then(|| SeedRunner::new(scenario.ranks));
+                let mut runner = SeedRunner::new(scenario.ranks);
                 loop {
                     let claim = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
                         if c >= cfg.count {
@@ -592,7 +551,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
                     };
                     let end = begin.saturating_add(CHUNK).min(cfg.count);
                     for off in begin..end {
-                        let verdict = verdict_of(cfg.start + off, scenario, runner.as_mut());
+                        let verdict = verdict_of(cfg.start + off, scenario, &mut runner);
                         agg.lock().unwrap().record(verdict);
                     }
                 }
@@ -722,6 +681,21 @@ mod tests {
         ));
         let cfg = SweepCfg::builder().start(5).count(10).jobs(2).build().unwrap();
         assert_eq!((cfg.start, cfg.count, cfg.jobs), (5, 10, 2));
+    }
+
+    /// The rank-thread bound on a 2-core host, an explicit `--jobs`
+    /// capped at it, and a seed count below it.
+    #[test]
+    fn workers_follow_the_rank_thread_bound() {
+        assert_eq!(workers(0, 8, 1000, 2), 6);
+        assert_eq!(workers(0, 4, 1000, 2), 12);
+        assert_eq!(workers(64, 8, 1000, 2), 6);
+        assert_eq!(workers(2, 8, 1000, 2), 2);
+        assert_eq!(workers(0, 8, 3, 2), 3);
+        // More cores lift the bound past the 48-thread floor.
+        assert_eq!(workers(0, 8, 1000, 8), 12);
+        // A world larger than the budget still gets one worker.
+        assert_eq!(workers(0, 256, 1000, 2), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ const SEEDS: std::ops::Range<u64> = 0..32;
 fn measure(runner: &mut SeedRunner, cfg: &ScenarioCfg) -> f64 {
     let mut allocs = 0u64;
     for seed in SEEDS {
-        let obs = runner.run_seed_quiet(seed, cfg);
+        let obs = runner.run_seed(seed, cfg, Retention::Quiet);
         assert!(!obs.hung, "seed {seed:#x} hung during the ceiling pass");
         allocs += obs.stats.alloc.allocs;
     }
@@ -38,7 +38,7 @@ fn check(ranks: usize, ceiling: f64) {
     // Warm pass: cold-pool buffer mints and lazily-built scratch land
     // here, not in the measurement.
     for seed in SEEDS {
-        let _ = runner.run_seed_quiet(seed, &cfg);
+        let _ = runner.run_seed(seed, &cfg, Retention::Quiet);
     }
     let steady = measure(&mut runner, &cfg);
     assert!(
@@ -60,9 +60,8 @@ fn steady_state_allocs_within_ceiling_r8() {
     check(8, 460.0);
 }
 
-/// The pooled quiet path and the spawn-per-run recorded path agree on
-/// the schedule (same kills, same mask) — the ceiling above measures
-/// the path sweeps actually take.
+/// The quiet path keeps the schedule (same kills, same mask) and drops
+/// the log — the ceiling above measures the path sweeps actually take.
 #[test]
 fn ceiling_measures_the_sweep_path() {
     let cfg = ScenarioCfg::default();

@@ -125,9 +125,7 @@ fn fuzz_flag_gating() {
         (vec!["fuzz", "--buggy"], "--buggy does not apply to fuzz"),
         (vec!["fuzz", "--budget", "0"], "--budget must be at least 1"),
         (vec!["fuzz", "--jobs", "2"], "--jobs only applies to explore"),
-        (vec!["fuzz", "--no-pool"], "--no-pool only applies to explore"),
         (vec!["fuzz", "--shrink-failures"], "--shrink-failures only applies to explore"),
-        (vec!["fuzz", "--threads-budget", "8"], "--threads-budget only applies to explore"),
         (vec!["explore", "--seeds", "1", "--budget", "10"], "--budget only applies to fuzz"),
         (vec!["replay", "--seed", "3", "--stats"], "--stats only applies to explore and fuzz"),
     ] {
@@ -135,6 +133,33 @@ fn fuzz_flag_gating() {
         assert!(!out.status.success(), "{args:?} was accepted");
         let err = stderr(&out);
         assert!(err.contains(needle), "{args:?} produced unexpected stderr: {err}");
+    }
+}
+
+/// A malformed corpus is a clean error citing `path:line` (exit 1),
+/// never a panic (exit 101) — occurrence 0 used to reach the 1-based
+/// kill trigger and panic the campaign.
+#[test]
+fn fuzz_rejects_a_malformed_corpus_without_panicking() {
+    let tmp = std::env::temp_dir();
+    for (i, line) in [
+        "schedule seed=0x1 kills=[1:Tick:0]",
+        "schedule seed=0x1 kills=[1:Tick",
+        "schedule seed=0x1 kills=[7:Tick:2]",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let path = tmp.join(format!("dst_cli_malformed_{}_{i}.corpus", std::process::id()));
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        let out = dst(&["fuzz", "--budget", "10", "--corpus", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(1), "{line}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("{}:1: ", path.display())),
+            "{line}: error does not cite path:line: {err}"
+        );
     }
 }
 

@@ -16,7 +16,7 @@
 //! even if the seed→schedule mapping is ever remapped (which would
 //! silently repoint the seeds at different, likely-benign schedules).
 
-use dst::{check_all, run_schedule, run_seed, Kill, ScenarioCfg, Schedule};
+use dst::{check_all, Kill, Retention, ScenarioCfg, Schedule, SeedRunner};
 use faultsim::HookKind::{AfterRecvComplete, AfterSend, Tick};
 
 /// The seven ROADMAP hang seeds plus the takeover-cascade seed, each
@@ -85,8 +85,9 @@ const HANG_SEEDS: [(u64, [Kill; 2]); 8] = [
 #[test]
 fn formerly_hanging_seeds_replay_green() {
     let cfg = ScenarioCfg::default();
+    let mut runner = SeedRunner::new(cfg.ranks);
     for (seed, _) in HANG_SEEDS {
-        let obs = run_seed(seed, &cfg);
+        let obs = runner.run_seed(seed, &cfg, Retention::Full);
         assert!(!obs.hung, "seed {seed:#x} still hangs");
         assert!(!obs.budget_exhausted, "seed {seed:#x} exhausted its step budget");
         let violations = check_all(&obs);
@@ -122,9 +123,10 @@ fn seed_derivation_still_names_the_recorded_schedules() {
 #[test]
 fn recorded_kill_schedules_complete_when_applied_explicitly() {
     let cfg = ScenarioCfg::default();
+    let mut runner = SeedRunner::new(cfg.ranks);
     for (seed, kills) in HANG_SEEDS {
         let schedule = Schedule { seed, kills: kills.to_vec(), delay_mask: None };
-        let obs = run_schedule(&schedule, &cfg);
+        let obs = runner.run_schedule_with(&schedule, &cfg, Retention::Full);
         assert!(!obs.hung, "explicit schedule of seed {seed:#x} still hangs: {kills:?}");
         let violations = check_all(&obs);
         assert!(

@@ -7,7 +7,7 @@
 //! records CI gates on, the edge counts EXPERIMENTS.md cites — is only
 //! trustworthy if two runs with the same inputs are indistinguishable.
 
-use dst::{fuzz, run_schedule, run_seed, FuzzCfg, ScenarioCfg};
+use dst::{fuzz, FuzzCfg, Retention, ScenarioCfg, SeedRunner};
 
 fn scenario() -> ScenarioCfg {
     ScenarioCfg::builder().build().expect("default scenario is valid")
@@ -46,9 +46,10 @@ fn same_master_seed_is_byte_identical() {
     // byte-identical decision logs — the property shrinking and corpus
     // repro rest on.
     let sc = scenario();
+    let mut runner = SeedRunner::new(sc.ranks);
     for entry in a.corpus.iter().rev().take(3) {
-        let x = run_schedule(&entry.schedule, &sc);
-        let y = run_schedule(&entry.schedule, &sc);
+        let x = runner.run_schedule_with(&entry.schedule, &sc, Retention::Full);
+        let y = runner.run_schedule_with(&entry.schedule, &sc, Retention::Full);
         assert_eq!(
             x.log, y.log,
             "mutated schedule replay diverged: {:?}",
@@ -80,7 +81,7 @@ fn different_master_seeds_differ() {
 #[test]
 fn rediscovers_pinned_seed_edges() {
     let sc = scenario();
-    let pinned = run_seed(0x2d, &sc);
+    let pinned = SeedRunner::new(sc.ranks).run_seed(0x2d, &sc, Retention::Full);
     let pinned_edges: Vec<u64> = pinned.coverage.iter().collect();
     assert!(!pinned_edges.is_empty(), "pinned seed covered nothing");
 
@@ -111,9 +112,9 @@ fn beats_blind_sweep_at_equal_budget() {
     // Blind baseline: the same number of runs, seeds in order, fixed
     // pair shape — exactly what `dst explore --seeds 600` measures.
     let mut blind = std::collections::BTreeSet::new();
-    let mut runner = dst::SeedRunner::new(sc.ranks);
+    let mut runner = SeedRunner::new(sc.ranks);
     for seed in 0..budget {
-        let obs = runner.run_seed_quiet(seed, &sc);
+        let obs = runner.run_seed(seed, &sc, Retention::Quiet);
         blind.extend(obs.coverage.iter());
     }
     assert!(

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use dst::{run_seed, KillShape, ScenarioCfg, SeedRunner};
+use dst::{KillShape, Retention, ScenarioCfg, SeedRunner};
 
 /// Pinned seed set. Small enough to run in CI on every push, wide
 /// enough to exercise kills (0–2 per seed), delays, any-source picks
@@ -73,8 +73,11 @@ fn golden_path(ranks: usize) -> PathBuf {
         .join(format!("decision_logs_r{ranks}.txt"))
 }
 
+/// Every seed on a fresh runner: no state from an earlier schedule.
 fn render(ranks: usize) -> String {
     let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
+    let run_seed =
+        |seed, cfg: &ScenarioCfg| SeedRunner::new(ranks).run_seed(seed, cfg, Retention::Full);
     let mut out = String::new();
     for seed in all_seeds() {
         let obs = run_seed(seed, &cfg);
@@ -90,8 +93,8 @@ fn render(ranks: usize) -> String {
     out
 }
 
-/// `render`, but every seed runs back-to-back on ONE persistent
-/// executor pool — the reused-state path the sweep engine takes. The
+/// `render`, but every seed runs back-to-back on ONE reused runner —
+/// the reused-state path the sweep engine takes. The
 /// same goldens judge both renderings, so a reset-protocol bug that
 /// let one schedule's state bleed into the next shows up as a byte
 /// divergence here.
@@ -100,13 +103,13 @@ fn render_pooled(ranks: usize) -> String {
     let mut runner = SeedRunner::new(ranks);
     let mut out = String::new();
     for seed in all_seeds() {
-        let obs = runner.run_seed(seed, &cfg);
+        let obs = runner.run_seed(seed, &cfg, Retention::Full);
         writeln!(out, "=== seed {seed:#x} ranks {ranks} ===").unwrap();
         out.push_str(&obs.log);
     }
     for (shape, seed) in shape_seeds() {
         let cfg = ScenarioCfg { ranks, shape, ..ScenarioCfg::default() };
-        let obs = runner.run_seed(seed, &cfg);
+        let obs = runner.run_seed(seed, &cfg, Retention::Full);
         writeln!(out, "=== seed {seed:#x} ranks {ranks} shape {shape} ===").unwrap();
         out.push_str(&obs.log);
     }
@@ -117,16 +120,17 @@ fn check(ranks: usize) {
     check_rendering(ranks, render(ranks));
 }
 
-/// Pooled rendering judged against the identical goldens. Under
-/// `GOLDEN_REGEN` the spawn-mode rendering stays the one that is
-/// written; the pooled rendering is compared against it in memory, so
+/// Reused-runner rendering judged against the identical goldens. Under
+/// `GOLDEN_REGEN` the fresh-runner rendering stays the one that is
+/// written; the reused rendering is compared against it in memory, so
 /// regeneration can never pin a reset-protocol bug into the goldens.
 fn check_pooled(ranks: usize) {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         assert_eq!(
             render(ranks),
             render_pooled(ranks),
-            "pooled rendering diverged from spawn-per-run at {ranks} ranks during regeneration"
+            "reused-runner rendering diverged from fresh runners at {ranks} ranks \
+             during regeneration"
         );
         return;
     }

@@ -41,7 +41,7 @@
 //! schedule* — recorded verbatim below — must complete when applied
 //! explicitly, so the regression survives any seed→schedule remap.
 
-use dst::{check_all, run_schedule, run_seed, Kill, KillShape, ScenarioCfg, Schedule};
+use dst::{check_all, Kill, KillShape, Retention, ScenarioCfg, Schedule, SeedRunner};
 use faultsim::HookKind::{AfterRecvComplete, AfterSend, Tick};
 
 /// Failing seeds found by per-shape sweeps of `0..100_000`, each with
@@ -122,7 +122,7 @@ fn cfg_for(shape: KillShape, ranks: usize) -> ScenarioCfg {
 #[test]
 fn formerly_failing_shape_seeds_replay_green() {
     for (shape, ranks, seed, _) in SHAPE_SEEDS {
-        let obs = run_seed(seed, &cfg_for(shape, ranks));
+        let obs = SeedRunner::new(ranks).run_seed(seed, &cfg_for(shape, ranks), Retention::Full);
         assert!(!obs.hung, "shape {shape} seed {seed:#x} still hangs");
         assert!(
             !obs.budget_exhausted,
@@ -158,7 +158,11 @@ fn shape_derivation_still_names_the_recorded_schedules() {
 fn recorded_shape_schedules_complete_when_applied_explicitly() {
     for (shape, ranks, seed, kills) in SHAPE_SEEDS {
         let schedule = Schedule { seed, kills: kills.to_vec(), delay_mask: None };
-        let obs = run_schedule(&schedule, &cfg_for(shape, ranks));
+        let obs = SeedRunner::new(ranks).run_schedule_with(
+            &schedule,
+            &cfg_for(shape, ranks),
+            Retention::Full,
+        );
         assert!(
             !obs.hung,
             "explicit schedule of shape {shape} seed {seed:#x} still hangs: {kills:?}"

@@ -11,12 +11,23 @@
 //! cascade of 0x1882 (DESIGN.md §8.7). Failures shrink and persist to
 //! `ring_properties.proptest-regressions` next to this file.
 
-use dst::{check_all, run_schedule, run_seed, triage, Kill, KillShape, ScenarioCfg, Schedule};
+use dst::{
+    check_all, triage, Kill, KillShape, Observation, Retention, ScenarioCfg, Schedule, SeedRunner,
+};
 use faultsim::HookKind;
 use proptest::prelude::*;
 
 const HOOKS: [HookKind; 3] =
     [HookKind::Tick, HookKind::AfterSend, HookKind::AfterRecvComplete];
+
+/// Cases draw their rank count, so each run gets a runner of its size.
+fn run_schedule(schedule: &Schedule, cfg: &ScenarioCfg) -> Observation {
+    SeedRunner::new(cfg.ranks).run_schedule_with(schedule, cfg, Retention::Full)
+}
+
+fn run_seed(seed: u64, cfg: &ScenarioCfg) -> Observation {
+    SeedRunner::new(cfg.ranks).run_seed(seed, cfg, Retention::Full)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -124,14 +124,7 @@ fn large_failing_sweep_keeps_a_bounded_failure_list() {
 #[test]
 fn shrink_failures_attaches_minimal_events() {
     let scenario = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
-    let cfg = SweepCfg {
-        start: 0x2d,
-        count: 3,
-        jobs: 2,
-        max_failures: 10,
-        shrink_failures: true,
-        ..SweepCfg::default()
-    };
+    let cfg = SweepCfg { start: 0x2d, count: 3, jobs: 2, max_failures: 10, shrink_failures: true };
     let report = sweep(&cfg, &scenario).unwrap();
     assert!(!report.failures.is_empty());
     for f in report.failures.values() {

@@ -81,9 +81,8 @@ pub enum StepOutcome {
 /// A serializing scheduler hands the CPU from rank to rank at every
 /// [`SchedHook::step`]; each handoff normally costs a park/unpark pair
 /// of OS context switches. Implementations that elide handoffs (grant
-/// the stepping rank inline, or catch a grant by spinning before
-/// parking) expose the accounting here so harnesses can report the
-/// win per run instead of inferring it from throughput.
+/// the stepping rank inline) expose the accounting here so harnesses
+/// can report the win per run instead of inferring it from throughput.
 ///
 /// All counters are cumulative since the hook was constructed (or
 /// reset), and travel as the `handoff` field of [`RunStats`] (the
@@ -98,18 +97,16 @@ pub struct HandoffStats {
     /// Grants returned inline to the stepping rank (self-grant fast
     /// path): no park, no unpark, no context switch.
     pub self_grants: u64,
-    /// Grants consumed during the bounded spin phase, before the
-    /// waiter ever parked.
-    pub spin_grants: u64,
-    /// Grants consumed at a pre-park state check without spinning —
-    /// the waiter raced the granter and never slept. Not counted as
-    /// an elision: this window exists even with all fast paths off.
+    /// Grants consumed at the pre-park state check — the waiter raced
+    /// the granter and never slept. Not an elision: the window is an
+    /// accident of timing, not a fast path.
     pub prepark_grants: u64,
     /// `thread::park` calls made by waiting ranks.
     pub parks: u64,
     /// `Thread::unpark` wakeups issued by granters.
     pub unparks: u64,
-    /// Total spin-loop iterations spent across all waits.
+    /// Always 0: the handoff is park-only, with no spin phase. Kept so
+    /// consumers that read the field keep compiling and report 0.
     pub spin_iters: u64,
     /// Wall-clock park-safety timeouts observed by the transport
     /// (filled in by the runtime, not the scheduler).
@@ -117,18 +114,11 @@ pub struct HandoffStats {
 }
 
 impl HandoffStats {
-    /// Handoffs that skipped the park/unpark context-switch pair
-    /// thanks to an explicit fast path.
-    pub fn elided(&self) -> u64 {
-        self.self_grants + self.spin_grants
-    }
-
     /// Accumulate another run's counters (sweep aggregation).
     pub fn add(&mut self, other: &HandoffStats) {
         self.steps += other.steps;
         self.grants += other.grants;
         self.self_grants += other.self_grants;
-        self.spin_grants += other.spin_grants;
         self.prepark_grants += other.prepark_grants;
         self.parks += other.parks;
         self.unparks += other.unparks;
@@ -273,7 +263,7 @@ mod tests {
         assert_eq!(hook.now(), 0);
         let stats = hook.run_stats();
         assert_eq!(stats, RunStats::default());
-        assert_eq!(stats.handoff.elided(), 0);
+        assert_eq!(stats.handoff.self_grants, 0);
         assert_eq!(stats.coverage.edges, 0);
     }
 
@@ -284,17 +274,17 @@ mod tests {
             steps: 10,
             grants: 9,
             self_grants: 3,
-            spin_grants: 2,
             prepark_grants: 1,
             parks: 4,
             unparks: 4,
-            spin_iters: 128,
+            spin_iters: 0,
             park_safety_timeouts: 1,
         };
         total.add(&one);
         total.add(&one);
         assert_eq!(total.grants, 18);
-        assert_eq!(total.elided(), 10);
+        assert_eq!(total.self_grants, 6);
+        assert_eq!(total.parks, 8);
         assert_eq!(total.park_safety_timeouts, 2);
     }
 

@@ -17,10 +17,10 @@
 //!
 //! ### Determinism
 //!
-//! Pooled execution must keep the seed → schedule mapping of the `dst`
-//! harness **byte-identical** to spawn-per-run (the golden-log tests
-//! are the referee). Two properties make that structural rather than
-//! lucky:
+//! A reused pool must keep the seed → schedule mapping of the `dst`
+//! harness **byte-identical** to a fresh one (the golden-log tests
+//! render every seed both ways and are the referee). Two properties
+//! make that structural rather than lucky:
 //!
 //! * a pooled worker re-enters `SchedPoint::Enter` exactly as a fresh
 //!   thread did — the job body is the old spawn body, and the DST
@@ -64,12 +64,6 @@ use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 /// across runs.
 type Job = Box<dyn FnOnce(&mut RankScratch) + Send>;
 
-/// Spin iterations a worker burns before parking, when the machine has
-/// spare cores. Each iteration re-checks the queue under its lock, so
-/// this is a handful of microseconds at most; on a saturated machine
-/// the pool sets it to 0 and workers park immediately.
-const POOL_SPIN: u32 = 64;
-
 /// Per-worker job queue. A queue, not a slot: the respawn extension
 /// can enqueue a rank's next incarnation while the previous one is
 /// still unwinding on the same worker (incarnations of one rank then
@@ -108,8 +102,6 @@ struct PoolCore {
     /// that bumps `done` past the target either sees the registration
     /// (and unparks) or the caller's re-check sees the bump.
     waiter: Mutex<Option<Thread>>,
-    /// Bounded spin before a worker parks (0 on a saturated machine).
-    spin: u32,
     /// Heap traffic of the current run's job bodies, accumulated from
     /// each worker's thread-local counters (see [`AllocTally`]).
     alloc: AllocTally,
@@ -220,21 +212,12 @@ fn worker_loop(core: Arc<PoolCore>, idx: usize) {
     // runs.
     let mut scratch = RankScratch::default();
     'outer: loop {
-        let job = 'take: loop {
+        let job = loop {
             if let Some(j) = slot.queue.lock().pop_front() {
-                break 'take j;
+                break j;
             }
             if core.shutdown.load(Ordering::Acquire) {
                 break 'outer;
-            }
-            // Bounded spin (only when cores are spare): during a
-            // sweep's steady state the next job lands within the
-            // window and the park/unpark round trip is elided.
-            for _ in 0..core.spin {
-                std::hint::spin_loop();
-                if let Some(j) = slot.queue.lock().pop_front() {
-                    break 'take j;
-                }
             }
             // Commit to parking, then re-check the queue *under the
             // lock*: a submitter that pushed before our re-check is
@@ -301,10 +284,6 @@ impl UniversePool {
     /// A pool of `n` rank-executor threads, named `rank-0 .. rank-{n-1}`.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "universe needs at least one rank");
-        // Spin only when the machine has cores to spare beyond the
-        // rank workers themselves; on a saturated box a spinning
-        // worker would steal the CPU the running rank needs.
-        let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
         let core = Arc::new(PoolCore {
             slots: (0..n)
                 .map(|_| WorkerSlot {
@@ -317,7 +296,6 @@ impl UniversePool {
             done: AtomicUsize::new(0),
             target: AtomicUsize::new(0),
             waiter: Mutex::new(None),
-            spin: if cores > n { POOL_SPIN } else { 0 },
             alloc: AllocTally::default(),
         });
         let workers = (0..n)

@@ -34,13 +34,6 @@ use crate::rank::WorldRank;
 /// bounds the damage of a hypothetical missed notification.
 const PARK_SAFETY: Duration = Duration::from_millis(50);
 
-/// Spin iterations [`Fabric::park`] burns re-checking its predicate
-/// before committing to the condvar sleep, when the machine has spare
-/// cores. In the steady token-pass pattern the expected message is
-/// usually already in flight from the neighbour, so a short spin window
-/// elides the full sleep/wake round trip. 0 on a saturated machine.
-const FABRIC_SPIN: u32 = 64;
-
 struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
     /// envelopes.
@@ -69,10 +62,6 @@ pub struct Fabric {
     /// count growing during steady message flow would indicate a
     /// missed-notification bug. Surfaced in `RunReport::park_timeouts`.
     park_timeouts: AtomicU64,
-    /// Bounded pre-sleep spin in [`Fabric::park`]: [`FABRIC_SPIN`] when
-    /// the machine has more cores than ranks, else 0. Fixed at
-    /// construction — it depends only on the rank count.
-    spin: u32,
 }
 
 /// Snapshot taken at the start of a progress pass, consumed by
@@ -97,15 +86,6 @@ impl Fabric {
             notify_gen: AtomicU64::new(0),
             sim: AtomicBool::new(false),
             park_timeouts: AtomicU64::new(0),
-            spin: {
-                let cores =
-                    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-                if cores > n {
-                    FABRIC_SPIN
-                } else {
-                    0
-                }
-            },
         }
     }
 
@@ -226,25 +206,6 @@ impl Fabric {
     /// change. Returns immediately if any is already the case.
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
-        // Spin-then-park: with spare cores, briefly re-check the
-        // predicate lock-free-ish (lock per probe, released between
-        // probes) before committing to the condvar sleep. Skipped in
-        // simulation mode — there the scheduler serializes ranks and a
-        // spinning waiter would burn the core the running rank needs.
-        if self.spin > 0 && !self.sim.load(Ordering::Acquire) {
-            for _ in 0..self.spin {
-                {
-                    let mb = slot.mb.lock();
-                    if mb.version != token.mailbox_version
-                        || self.notify_gen.load(Ordering::Acquire) != token.notify_gen
-                        || current_epoch() != token.failure_epoch
-                    {
-                        return;
-                    }
-                }
-                std::hint::spin_loop();
-            }
-        }
         let mut mb = slot.mb.lock();
         if mb.version != token.mailbox_version
             || self.notify_gen.load(Ordering::Acquire) != token.notify_gen

@@ -37,7 +37,8 @@ fn fig6_naive_recv_hangs_when_token_dies_with_rank() {
     // Kill rank 2 after its 2nd token receive (mid-iteration 1).
     let plan = kill_after_recv(2, 1, T_N, 2);
     let cfg = RingConfig::naive(MAX_ITER);
-    let sched = std::sync::Arc::new(dst::Scheduler::new(4, 0xF16_6, 50_000));
+    let sched =
+        std::sync::Arc::new(dst::Scheduler::new(4, 0xF16_6, 50_000, None, dst::Retention::Full));
     let report = run(
         4,
         UniverseConfig::with_plan(plan)
