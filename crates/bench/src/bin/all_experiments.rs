@@ -1,6 +1,7 @@
 //! Run the complete experiment inventory (every behavioural figure of
 //! the paper) and print one consolidated table — the source of the
-//! measured column in `EXPERIMENTS.md`.
+//! measured column in `EXPERIMENTS.md`. Each row carries its figure's
+//! check; the process exits 1 if any check fails.
 //!
 //! ```text
 //! cargo run -p bench --bin all_experiments --release
@@ -58,7 +59,10 @@ fn main() {
         let (s, w) = ring_once(4, &cfg, kill_behind_token(2, 0, T_N, 2), wd);
         checks.push((
             "F10 duplicate dropped",
-            !s.has_double_completion() && s.total_duplicates_dropped >= 1,
+            !s.hung
+                && !s.has_double_completion()
+                && s.completed_iterations() == 6
+                && s.total_duplicates_dropped >= 1,
         ));
         rows.push(ExperimentRow::from_summary("F10", "marker_dedup", 4, ITER, &s, w));
     }
@@ -66,7 +70,13 @@ fn main() {
     {
         let cfg = RingConfig::paper(ITER).dedup(DedupStrategy::SeparateTag);
         let (s, w) = ring_once(4, &cfg, kill_behind_token(2, 0, T_N, 2), wd);
-        checks.push(("F10b separate tag exact", !s.has_double_completion()));
+        checks.push((
+            "F10b separate tag exact",
+            !s.hung
+                && !s.has_double_completion()
+                && s.completed_iterations() == 6
+                && s.total_duplicates_dropped >= 1,
+        ));
         rows.push(ExperimentRow::from_summary("F10b", "separate_tag", 4, ITER, &s, w));
     }
     // F11: root broadcast termination with a failure during termination.

@@ -4,58 +4,28 @@
 use std::time::Duration;
 
 use faultsim::FaultPlan;
-use ftmpi::{run, RunReport, UniverseConfig, WORLD};
-use ftring::{run_ring, summarize, RingConfig, RingRunSummary, RingStats};
+use ftmpi::{run, UniverseConfig, WORLD};
+use ftring::{run_ring, summarize, RingConfig, RingRunSummary};
 
 /// Default watchdog for experiment runs. Generous: a watchdog firing
 /// in a *measurement* is a bug signal, not an expected outcome.
 pub const WATCHDOG: Duration = Duration::from_secs(120);
 
-/// Run one ring configuration under a fault plan; returns the raw
-/// per-rank report.
-pub fn ring_report(
-    ranks: usize,
-    cfg: &RingConfig,
-    plan: FaultPlan,
-    watchdog: Duration,
-) -> RunReport<RingStats> {
-    let cfg = cfg.clone();
-    run(
-        ranks,
-        UniverseConfig::with_plan(plan).watchdog(watchdog),
-        move |p| run_ring(p, WORLD, &cfg),
-    )
-}
-
-/// Run one ring configuration with tracing enabled; returns the
-/// summary, the wall time, and the recorded protocol trace.
-pub fn ring_traced(
-    ranks: usize,
-    cfg: &RingConfig,
-    plan: FaultPlan,
-    watchdog: Duration,
-) -> (RingRunSummary, Duration, Vec<ftmpi::TimedEvent>) {
-    let cfg = cfg.clone();
-    let report = run(
-        ranks,
-        UniverseConfig::with_plan(plan).watchdog(watchdog).traced(),
-        move |p| run_ring(p, WORLD, &cfg),
-    );
-    let d = report.duration;
-    let trace = report.trace.clone();
-    (summarize(&report), d, trace)
-}
-
-/// Run one ring configuration and summarize.
+/// Run one ring configuration under a fault plan and summarize;
+/// returns the summary and the run's wall time.
 pub fn ring_once(
     ranks: usize,
     cfg: &RingConfig,
     plan: FaultPlan,
     watchdog: Duration,
 ) -> (RingRunSummary, Duration) {
-    let report = ring_report(ranks, cfg, plan, watchdog);
-    let d = report.duration;
-    (summarize(&report), d)
+    let cfg = cfg.clone();
+    let report = run(
+        ranks,
+        UniverseConfig::with_plan(plan).watchdog(watchdog),
+        move |p| run_ring(p, WORLD, &cfg),
+    );
+    (summarize(&report), report.duration)
 }
 
 /// One row of an experiment table.

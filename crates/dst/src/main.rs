@@ -57,13 +57,29 @@ const MAX_RANKS: u64 = 256;
 const MAX_JOBS: u64 = 1024;
 /// Retained-failure cap; the map is O(max-failures) memory.
 const MAX_MAX_FAILURES: u64 = 1_000_000;
+/// Ring-iteration cap: the hang budget grows with `--iters`, so values
+/// beyond this would let a hung run spin for days before the logical
+/// watchdog fires.
+const MAX_ITERS: u64 = 100_000;
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     let r = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => s.parse(),
     };
-    r.map_err(|_| format!("not a number: {s}"))
+    r.map_err(|e| match e.kind() {
+        std::num::IntErrorKind::PosOverflow => format!("out of range for u64: {s}"),
+        _ => format!("not a number: {s}"),
+    })
+}
+
+/// Parse `flag`'s value as a `u64` no larger than `cap`.
+fn parse_capped(s: &str, flag: &str, cap: u64) -> Result<u64, String> {
+    let v = parse_u64(s)?;
+    if v > cap {
+        return Err(format!("{flag} {v} exceeds the supported maximum {cap}\n{}", usage()));
+    }
+    Ok(v)
 }
 
 /// Parse `flag`'s value as a `usize` with an explicit upper bound.
@@ -73,10 +89,7 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 /// plus a sanity cap turns both the wrap and the absurd-but-
 /// representable value into usage errors.
 fn parse_capped_usize(s: &str, flag: &str, cap: u64) -> Result<usize, String> {
-    let v = parse_u64(s)?;
-    if v > cap {
-        return Err(format!("{flag} {v} exceeds the supported maximum {cap}\n{}", usage()));
-    }
+    let v = parse_capped(s, flag, cap)?;
     usize::try_from(v)
         .map_err(|_| format!("{flag} {v} does not fit this platform's usize\n{}", usage()))
 }
@@ -146,7 +159,7 @@ fn parse_args() -> Result<Args, String> {
             "--ranks" => {
                 args.ranks = parse_capped_usize(&value("--ranks")?, "--ranks", MAX_RANKS)?
             }
-            "--iters" => args.iters = parse_u64(&value("--iters")?)?,
+            "--iters" => args.iters = parse_capped(&value("--iters")?, "--iters", MAX_ITERS)?,
             "--budget" => args.budget = Some(parse_u64(&value("--budget")?)?),
             "--jobs" => {
                 args.jobs = Some(parse_capped_usize(&value("--jobs")?, "--jobs", MAX_JOBS)?)

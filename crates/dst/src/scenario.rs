@@ -129,6 +129,9 @@ impl std::fmt::Display for KillShape {
     }
 }
 
+/// Floor of [`ScenarioCfg::hang_budget`].
+const MIN_HANG_BUDGET: u64 = 200_000;
+
 /// What the ring under test should look like.
 ///
 /// Every field is plain data, so the config is `Copy` — an
@@ -146,8 +149,6 @@ pub struct ScenarioCfg {
     /// paper's Fig. 8 double-completion bug) instead of the hardened
     /// ring. Oracles that assume a correct ring are gated off.
     pub buggy_dedup: bool,
-    /// Logical-step budget before the run is declared hung.
-    pub step_budget: u64,
     /// Kill-shape family the seed-derived schedules draw from
     /// (hardened ring only; the buggy configuration keeps its own
     /// Fig. 8 derivation).
@@ -160,7 +161,6 @@ impl Default for ScenarioCfg {
             ranks: 4,
             max_iter: 3,
             buggy_dedup: false,
-            step_budget: 200_000,
             shape: KillShape::Pair,
         }
     }
@@ -170,18 +170,14 @@ impl ScenarioCfg {
     /// Reject degenerate configurations before they reach a universe.
     ///
     /// `ranks < 2` has no ring to pass a token around (and kill
-    /// derivation draws from `ranks - 1` buckets), `max_iter == 0`
-    /// silently does nothing, and `step_budget == 0` declares every
-    /// run hung before its first grant.
+    /// derivation draws from `ranks - 1` buckets) and `max_iter == 0`
+    /// silently does nothing.
     pub fn validate(&self) -> Result<(), String> {
         if self.ranks < 2 {
             return Err(format!("ranks must be at least 2 (got {})", self.ranks));
         }
         if self.max_iter == 0 {
             return Err("iters must be at least 1".to_string());
-        }
-        if self.step_budget == 0 {
-            return Err("step budget must be at least 1".to_string());
         }
         if self.buggy_dedup && self.shape != KillShape::Pair {
             return Err(format!(
@@ -191,6 +187,23 @@ impl ScenarioCfg {
             ));
         }
         Ok(())
+    }
+
+    /// Logical-step budget before a run is declared hung.
+    ///
+    /// A healthy run costs about `2 × ranks²` grants per lap (23 at 4
+    /// ranks, 115 at 8, 500 at 16) plus about one lap of setup and
+    /// termination, so a fixed budget reports long or large healthy
+    /// runs as hangs. The budget is 16× that estimate, never below
+    /// 200 000 — which is exactly the budget of every 4- and 8-rank,
+    /// 3-iteration config (the golden logs, CI, the benchmark).
+    pub fn hang_budget(&self) -> u64 {
+        let ranks = self.ranks as u64;
+        ranks
+            .saturating_mul(ranks)
+            .saturating_mul(32)
+            .saturating_mul(self.max_iter.saturating_add(1))
+            .max(MIN_HANG_BUDGET)
     }
 
     /// The ring configuration this scenario runs.
@@ -235,12 +248,6 @@ impl ScenarioBuilder {
     /// Run the deliberately broken dedup configuration (`--buggy-dedup`).
     pub fn buggy_dedup(mut self, on: bool) -> Self {
         self.cfg.buggy_dedup = on;
-        self
-    }
-
-    /// Logical-step budget (`--budget`).
-    pub fn step_budget(mut self, n: u64) -> Self {
-        self.cfg.step_budget = n;
         self
     }
 
@@ -733,7 +740,7 @@ fn execute(
     let sched = Arc::new(Scheduler::new(
         cfg.ranks,
         schedule.seed,
-        cfg.step_budget,
+        cfg.hang_budget(),
         schedule.delay_mask.as_deref(),
         retention,
     ));
@@ -967,6 +974,21 @@ mod tests {
         assert_eq!(KillShape::from_name("all"), None);
         assert_eq!(KillShape::from_name("bogus"), None);
         assert_eq!(KillShape::from_name("rootchain"), Some(KillShape::RootChain));
+    }
+
+    /// The configs the golden logs, CI and the benchmark run keep the
+    /// budget they always had; larger runs get more, and the CLI's
+    /// extremes saturate instead of wrapping.
+    #[test]
+    fn hang_budget_is_pinned_for_small_configs_and_scales() {
+        let budget = |ranks, max_iter| {
+            ScenarioCfg { ranks, max_iter, ..ScenarioCfg::default() }.hang_budget()
+        };
+        assert_eq!(budget(4, 3), 200_000);
+        assert_eq!(budget(8, 3), 200_000);
+        assert!(budget(16, 600) > 200_000);
+        assert!(budget(256, 3) > budget(128, 3));
+        assert_eq!(budget(usize::MAX, u64::MAX), u64::MAX);
     }
 
     /// `--shape` is a hardened-ring concept; the buggy configuration

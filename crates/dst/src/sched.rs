@@ -102,33 +102,9 @@ use std::thread::Thread;
 use crate::coverage::{CoverageSet, EdgeKind, PHASE_CAP};
 use crate::scenario::Retention;
 use faultsim::{ChoiceKind, HandoffStats, Rank, RunStats, SchedHook, SchedPoint, StepOutcome};
-
-/// Deterministic splitmix64 stream.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
+/// The scheduler's stream: the workspace's one splitmix64, re-exported
+/// so `dst::SplitMix64` names it too.
+pub use faultsim::SplitMix64;
 
 /// One recorded scheduler decision.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,7 +22,8 @@ fn stdout(out: &Output) -> String {
 
 /// `--ranks`, `--jobs`, `--max-failures` used to truncate through
 /// unchecked `as usize` casts; values beyond the sane caps must be
-/// usage errors, not wrapped or truncated configurations.
+/// usage errors, not wrapped or truncated configurations. `--iters` is
+/// capped too, because the hang budget grows with it.
 #[test]
 fn absurd_numeric_flags_are_usage_errors() {
     for args in [
@@ -31,6 +32,7 @@ fn absurd_numeric_flags_are_usage_errors() {
         ["explore", "--seeds", "1", "--jobs", "1025"],
         ["explore", "--seeds", "1", "--max-failures", "1000001"],
         ["explore", "--seeds", "1", "--ranks", "18446744073709551615"],
+        ["explore", "--seeds", "1", "--iters", "100001"],
     ] {
         let out = dst(&args);
         assert!(!out.status.success(), "{args:?} was accepted");
@@ -45,6 +47,14 @@ fn absurd_numeric_flags_are_usage_errors() {
     // parse path with a tiny world instead).
     let out = dst(&["explore", "--seeds", "1", "--jobs", "4", "--max-failures", "10"]);
     assert!(out.status.success(), "in-range flags rejected: {}", stderr(&out));
+    // A number past u64 is out of range, not "not a number".
+    let out = dst(&["explore", "--seeds", "99999999999999999999"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("out of range for u64: 99999999999999999999"),
+        "overflow produced unexpected stderr: {}",
+        stderr(&out)
+    );
 }
 
 /// `--log` is only meaningful for `replay`; every other subcommand

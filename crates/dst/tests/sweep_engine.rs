@@ -184,7 +184,6 @@ fn overflow_and_degenerate_configs_error_cleanly() {
         ScenarioCfg { ranks: 0, ..ScenarioCfg::default() },
         ScenarioCfg { ranks: 1, ..ScenarioCfg::default() },
         ScenarioCfg { max_iter: 0, ..ScenarioCfg::default() },
-        ScenarioCfg { step_budget: 0, ..ScenarioCfg::default() },
     ] {
         let cfg = SweepCfg::default();
         assert!(
@@ -192,4 +191,21 @@ fn overflow_and_degenerate_configs_error_cleanly() {
             "config {bad:?} must be rejected"
         );
     }
+}
+
+/// A healthy run longer than the old fixed 200 000-step budget must
+/// come back green, not hung: the hang budget scales with ranks and
+/// iterations. 16 ranks × 600 laps is the cheapest such run at 16
+/// ranks (~500 steps a lap).
+#[test]
+fn long_healthy_runs_are_not_reported_as_hangs() {
+    let scenario = ScenarioCfg { ranks: 16, max_iter: 600, ..ScenarioCfg::default() };
+    let report = sweep(&SweepCfg { start: 0, count: 1, ..SweepCfg::default() }, &scenario)
+        .expect("valid sweep");
+    assert!(
+        report.stats.handoff.steps > 200_000,
+        "the run must outlast the old fixed budget (took {} steps)",
+        report.stats.handoff.steps
+    );
+    assert_eq!((report.green, report.failing, report.hung), (1, 0, 0), "{:?}", report.failures);
 }

@@ -18,7 +18,8 @@
 //!   *where* in the protocol, on *which occurrence*.
 //! * [`injector`] — the armed, shared, thread-safe form of a plan.
 //! * [`schedule`] / [`random`] — asynchronous (wall-clock / event-count)
-//!   and seeded-random fault schedules for chaos testing.
+//!   and seeded-random fault schedules for chaos testing; [`random`]
+//!   also holds the workspace's one seeded generator, [`SplitMix64`].
 //! * [`scenario`] — named builders for every failure scenario figure in
 //!   the paper.
 
@@ -32,7 +33,7 @@ pub mod trigger;
 
 pub use injector::{Decision, Injector};
 pub use plan::{FaultAction, FaultPlan, FaultRule};
-pub use random::{RandomFaults, RandomFaultsBuilder};
+pub use random::{RandomFaults, RandomFaultsBuilder, SplitMix64};
 pub use sched::{ChoiceKind, CoverageStats, HandoffStats, RunStats, SchedHook, SchedPoint, StepOutcome};
 pub use schedule::{AsyncSchedule, KillHandle};
 pub use trigger::{Hook, HookKind, PeerMatch, TagMatch, Trigger};

@@ -4,14 +4,45 @@
 //! spares the root" (DESIGN invariant 2). [`RandomFaults`] generates
 //! such schedules deterministically from a seed: a set of victims and,
 //! for each, a uniformly chosen protocol point (hook kind + occurrence).
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+//!
+//! Every seeded draw in the workspace comes from the one [`SplitMix64`]
+//! stream defined here: the fault-plan generator below and, through
+//! `dst::SplitMix64`, the simulation scheduler, kill derivation and
+//! the fuzzer.
 
 use crate::plan::{FaultPlan, FaultRule};
 use crate::trigger::{HookKind, Trigger};
 use crate::Rank;
+
+/// Deterministic splitmix64 stream (Steele, Lea & Flood 2014).
+///
+/// Not cryptographic; what matters is that the same seed yields the
+/// same stream forever, which replay and every pinned seed rely on.
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Stream seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// Next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
 
 /// Builder for randomized fault plans.
 #[derive(Debug, Clone)]
@@ -68,7 +99,7 @@ impl RandomFaultsBuilder {
 
     /// Finish: a deterministic generator for the given seed.
     pub fn build(self, seed: u64) -> RandomFaults {
-        RandomFaults { cfg: self, rng: StdRng::seed_from_u64(seed) }
+        RandomFaults { cfg: self, rng: SplitMix64::new(seed) }
     }
 }
 
@@ -76,7 +107,7 @@ impl RandomFaultsBuilder {
 #[derive(Debug)]
 pub struct RandomFaults {
     cfg: RandomFaultsBuilder,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl RandomFaults {
@@ -91,13 +122,17 @@ impl RandomFaults {
         if candidates.is_empty() || self.cfg.max_failures == 0 {
             return FaultPlan::none();
         }
-        let n = self.rng.random_range(0..=self.cfg.max_failures.min(candidates.len()));
+        let n = self.rng.below(self.cfg.max_failures.min(candidates.len()) + 1);
+        // Fisher–Yates, last index first.
         let mut shuffled = candidates;
-        shuffled.shuffle(&mut self.rng);
+        for i in (1..shuffled.len()).rev() {
+            let j = self.rng.below(i + 1);
+            shuffled.swap(i, j);
+        }
         let mut plan = FaultPlan::none();
         for &victim in shuffled.iter().take(n) {
-            let kind = self.cfg.kinds[self.rng.random_range(0..self.cfg.kinds.len())];
-            let occurrence = self.rng.random_range(1..=self.cfg.max_occurrence);
+            let kind = self.cfg.kinds[self.rng.below(self.cfg.kinds.len())];
+            let occurrence = 1 + self.rng.next_u64() % self.cfg.max_occurrence;
             plan = plan.with(FaultRule::kill(victim, Trigger::on(kind).nth(occurrence)));
         }
         plan
@@ -116,6 +151,51 @@ mod tests {
         };
         assert_eq!(mk(42), mk(42));
         assert_ne!(mk(42), mk(43));
+    }
+
+    /// The chaos suite's plans (`ftmpi/tests/runtime.rs`, seeds 0..6)
+    /// and a default-kinds stream, pinned byte for byte: a change to
+    /// the generator or its draw order changes which faults every
+    /// seeded test injects.
+    #[test]
+    fn plans_match_the_pinned_stream() {
+        let chaos = [
+            "FaultPlan { rules: [FaultRule { observer: 5, trigger: Trigger { kind: BeforeCollective, peer: Any, tag: Any, occurrence: 2 }, action: Kill }] }",
+            "FaultPlan { rules: [FaultRule { observer: 1, trigger: Trigger { kind: BeforeValidate, peer: Any, tag: Any, occurrence: 2 }, action: Kill }, FaultRule { observer: 2, trigger: Trigger { kind: BeforeCollective, peer: Any, tag: Any, occurrence: 1 }, action: Kill }] }",
+            "FaultPlan { rules: [FaultRule { observer: 3, trigger: Trigger { kind: BeforeCollective, peer: Any, tag: Any, occurrence: 3 }, action: Kill }] }",
+            "FaultPlan { rules: [] }",
+            "FaultPlan { rules: [FaultRule { observer: 3, trigger: Trigger { kind: Tick, peer: Any, tag: Any, occurrence: 3 }, action: Kill }] }",
+            "FaultPlan { rules: [FaultRule { observer: 1, trigger: Trigger { kind: Tick, peer: Any, tag: Any, occurrence: 2 }, action: Kill }, FaultRule { observer: 2, trigger: Trigger { kind: BeforeCollective, peer: Any, tag: Any, occurrence: 1 }, action: Kill }] }",
+        ];
+        for (seed, want) in chaos.iter().enumerate() {
+            let plan = RandomFaultsBuilder::new(6)
+                .max_failures(2)
+                .spare(&[0])
+                .max_occurrence(4)
+                .kinds(&[HookKind::BeforeCollective, HookKind::Tick, HookKind::BeforeValidate])
+                .build(seed as u64)
+                .next_plan();
+            assert_eq!(format!("{plan:?}"), *want, "seed {seed}");
+        }
+
+        let stream = [
+            "FaultPlan { rules: [FaultRule { observer: 4, trigger: Trigger { kind: BeforeSend, peer: Any, tag: Any, occurrence: 6 }, action: Kill }] }",
+            "FaultPlan { rules: [FaultRule { observer: 2, trigger: Trigger { kind: AfterSend, peer: Any, tag: Any, occurrence: 6 }, action: Kill }, FaultRule { observer: 1, trigger: Trigger { kind: AfterRecvComplete, peer: Any, tag: Any, occurrence: 1 }, action: Kill }] }",
+            "FaultPlan { rules: [] }",
+            "FaultPlan { rules: [FaultRule { observer: 5, trigger: Trigger { kind: AfterSend, peer: Any, tag: Any, occurrence: 4 }, action: Kill }, FaultRule { observer: 1, trigger: Trigger { kind: AfterSend, peer: Any, tag: Any, occurrence: 2 }, action: Kill }, FaultRule { observer: 6, trigger: Trigger { kind: BeforeSend, peer: Any, tag: Any, occurrence: 5 }, action: Kill }] }",
+        ];
+        let mut g = RandomFaultsBuilder::new(8).max_failures(3).spare(&[0]).build(42);
+        for (i, want) in stream.iter().enumerate() {
+            assert_eq!(format!("{:?}", g.next_plan()), *want, "plan {i}");
+        }
+    }
+
+    #[test]
+    fn below_stays_in_range() {
+        let mut rng = SplitMix64::new(1);
+        for n in 1..200 {
+            assert!(rng.below(n) < n);
+        }
     }
 
     #[test]

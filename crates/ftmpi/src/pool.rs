@@ -516,10 +516,9 @@ impl UniversePool {
             hung = true;
         }
         let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
-        let park_timeouts = shared.fabric.park_timeouts();
         let mut stats =
             shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
-        stats.handoff.park_safety_timeouts = park_timeouts;
+        stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
         stats.alloc = self.core.alloc.harvest();
         let outcomes = outcomes
             .into_inner()
@@ -532,7 +531,6 @@ impl UniversePool {
             trace: shared.trace.events(),
             duration: start.elapsed(),
             generations,
-            park_timeouts,
             stats,
         };
         // Keep the universe state warm for the next run.

@@ -22,7 +22,7 @@
 //!   one possible waiter, or nobody, and never pays a broadcast.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -52,15 +52,12 @@ pub struct Fabric {
     slots: Vec<Slot>,
     /// Global notify generation: bumped by [`Fabric::wake_all`].
     notify_gen: AtomicU64,
-    /// Simulation mode: a DST scheduler drives the run, so every wake
-    /// is explicit and [`Fabric::park`] waits untimed — the run can
-    /// never secretly make progress off the safety backstop.
-    sim: AtomicBool,
     /// How often the wall-clock safety timeout cut a park short.
     /// Nonzero is expected when a run is legitimately idle (async kill
     /// schedules, respawn delays, hangs waiting for the watchdog); a
     /// count growing during steady message flow would indicate a
-    /// missed-notification bug. Surfaced in `RunReport::park_timeouts`.
+    /// missed-notification bug. Surfaced as
+    /// `RunStats::handoff.park_safety_timeouts`.
     park_timeouts: AtomicU64,
 }
 
@@ -84,16 +81,8 @@ impl Fabric {
                 })
                 .collect(),
             notify_gen: AtomicU64::new(0),
-            sim: AtomicBool::new(false),
             park_timeouts: AtomicU64::new(0),
         }
-    }
-
-    /// Switch between wall-clock parking (timed safety net) and
-    /// simulation parking (untimed; all wakes are explicit). Set by the
-    /// universe according to whether a DST scheduler drives the run.
-    pub fn set_sim_mode(&self, sim: bool) {
-        self.sim.store(sim, Ordering::Release);
     }
 
     /// How often the safety timeout fired since construction or the
@@ -106,7 +95,7 @@ impl Fabric {
     /// observable state of a fresh `Fabric::new(n)` while retaining
     /// every queue allocation. Must only be called between runs, when
     /// no rank thread can be delivering or parking.
-    pub fn reset(&self, sim: bool) {
+    pub fn reset(&self) {
         for slot in &self.slots {
             let mut mb = slot.mb.lock();
             mb.queue.clear();
@@ -114,13 +103,6 @@ impl Fabric {
         }
         self.notify_gen.store(0, Ordering::Release);
         self.park_timeouts.store(0, Ordering::Release);
-        self.sim.store(sim, Ordering::Release);
-    }
-
-    /// Number of ranks.
-    #[allow(dead_code)]
-    pub fn size(&self) -> usize {
-        self.slots.len()
     }
 
     /// Deliver `env` to `dst`'s mailbox and wake it.
@@ -137,27 +119,6 @@ impl Fabric {
         }
         // Single parker per slot: at most `dst`'s own thread waits here.
         slot.cv.notify_one();
-    }
-
-    /// Drain every queued envelope for `me`, in arrival order, together
-    /// with the mailbox version at drain time.
-    #[allow(dead_code)] // convenience form, exercised by unit tests
-    pub fn drain(&self, me: WorldRank) -> (Vec<Envelope>, u64) {
-        self.drain_with(me, |n| n)
-    }
-
-    /// [`Fabric::drain_into`], allocating a fresh Vec. Convenience for
-    /// tests and one-shot callers; the progress hot path reuses a
-    /// buffer instead.
-    #[allow(dead_code)] // convenience form, exercised by unit tests
-    pub fn drain_with(
-        &self,
-        me: WorldRank,
-        pick: impl FnOnce(usize) -> usize,
-    ) -> (Vec<Envelope>, u64) {
-        let mut out = Vec::new();
-        let version = self.drain_into(me, pick, &mut out);
-        (out, version)
     }
 
     /// Drain a scheduler-chosen prefix of `me`'s queue into `out`:
@@ -204,6 +165,9 @@ impl Fabric {
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
     /// change. Returns immediately if any is already the case.
+    ///
+    /// Wall-clock runs only: under a DST scheduler the wait loop blocks
+    /// in the scheduler and never reaches here.
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
         let mut mb = slot.mb.lock();
@@ -213,13 +177,7 @@ impl Fabric {
         {
             return;
         }
-        if self.sim.load(Ordering::Acquire) {
-            // Under a DST scheduler every wake is explicit (and ranks
-            // normally never park here at all — the wait loop blocks in
-            // the scheduler instead), so the timed backstop would only
-            // let a simulated run secretly progress off a timeout.
-            slot.cv.wait(&mut mb);
-        } else if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
+        if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
             // progress from explicit wakes.
@@ -247,20 +205,19 @@ impl Fabric {
         mb.queue.clear();
         mb.version += 1;
     }
-
-    /// Wake a single rank (its own thread is the only possible waiter).
-    #[allow(dead_code)]
-    pub fn wake(&self, rank: WorldRank) {
-        let slot = &self.slots[rank];
-        let _guard = slot.mb.lock();
-        slot.cv.notify_one();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    /// Drain all of `me`'s queue (or a `pick`ed prefix) into a fresh Vec.
+    fn drain(f: &Fabric, me: WorldRank, pick: impl FnOnce(usize) -> usize) -> (Vec<Envelope>, u64) {
+        let mut out = Vec::new();
+        let version = f.drain_into(me, pick, &mut out);
+        (out, version)
+    }
 
     fn env(src: WorldRank, seq: u64) -> Envelope {
         Envelope {
@@ -280,10 +237,10 @@ mod tests {
         f.deliver(1, env(0, 0));
         f.deliver(1, env(0, 1));
         f.deliver(1, env(0, 2));
-        let (msgs, version) = f.drain(1);
+        let (msgs, version) = drain(&f, 1, |n| n);
         assert_eq!(msgs.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(version, 3);
-        let (empty, v2) = f.drain(1);
+        let (empty, v2) = drain(&f, 1, |n| n);
         assert!(empty.is_empty());
         assert_eq!(v2, 3);
     }
@@ -345,34 +302,14 @@ mod tests {
         f.park(0, token, || 0);
         assert_eq!(f.park_timeouts(), 1);
 
-        f.reset(false);
+        f.reset();
         assert_eq!(f.park_timeouts(), 0, "reset clears the timeout count");
-        let (msgs, version) = f.drain(1);
+        let (msgs, version) = drain(&f, 1, |n| n);
         assert!(msgs.is_empty(), "reset clears queued envelopes");
         assert_eq!(version, 0, "reset rewinds mailbox versions");
         let t = f.token(0, 0);
         assert_eq!(t.mailbox_version, 0);
         assert_eq!(t.notify_gen, 0, "reset rewinds the notify generation");
-    }
-
-    #[test]
-    fn sim_mode_park_waits_untimed_until_explicit_wake() {
-        use std::sync::Arc;
-        let f = Arc::new(Fabric::new(1));
-        f.set_sim_mode(true);
-        let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || {
-            let token = f2.token(0, 0);
-            let t0 = std::time::Instant::now();
-            f2.park(0, token, || 0);
-            t0.elapsed()
-        });
-        // Well past PARK_SAFETY: a timed wait would have returned.
-        std::thread::sleep(Duration::from_millis(120));
-        f.deliver(0, env(0, 0));
-        let waited = h.join().unwrap();
-        assert!(waited >= Duration::from_millis(100), "park returned early: {waited:?}");
-        assert_eq!(f.park_timeouts(), 0, "untimed wait never fires the backstop");
     }
 
     mod properties {
@@ -408,7 +345,7 @@ mod tests {
                     } else {
                         // Drain a prefix; anything beyond it is delayed.
                         let k = op - senders;
-                        let (msgs, _) = f.drain_with(dst, |n| k.min(n));
+                        let (msgs, _) = drain(&f, dst, |n| k.min(n));
                         got.extend(msgs);
                     }
                 }
@@ -420,7 +357,7 @@ mod tests {
                         next_seq[s] += 1;
                     }
                 }
-                let (rest, _) = f.drain(dst);
+                let (rest, _) = drain(&f, dst, |n| n);
                 got.extend(rest);
 
                 prop_assert_eq!(got.len(), counts.iter().sum::<usize>());
@@ -452,7 +389,7 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        let (msgs, _) = f.drain(2);
+        let (msgs, _) = drain(&f, 2, |n| n);
         assert_eq!(msgs.len(), 200);
         // Per-sender FIFO holds even under interleaving.
         for src in 0..2 {

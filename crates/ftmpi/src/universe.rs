@@ -68,11 +68,9 @@ impl Shared {
         trace: bool,
         sched: Option<Arc<dyn SchedHook>>,
     ) -> Shared {
-        let fabric = crate::transport::Fabric::new(n);
-        fabric.set_sim_mode(sched.is_some());
         Shared {
             size: n,
-            fabric,
+            fabric: crate::transport::Fabric::new(n),
             registry: FailureRegistry::new(n),
             injector: Arc::new(Injector::new(plan)),
             board: CommBoard::new(WORLD_CTX + 1),
@@ -112,7 +110,7 @@ impl Shared {
         trace: bool,
         sched: Option<Arc<dyn SchedHook>>,
     ) {
-        self.fabric.reset(sched.is_some());
+        self.fabric.reset();
         self.registry.reset();
         self.injector = Arc::new(Injector::new(plan));
         self.board.reset(WORLD_CTX + 1);
@@ -262,14 +260,6 @@ pub struct RunReport<T> {
     /// Final incarnation number per rank (all 0 without the recovery
     /// extension).
     pub generations: Vec<u32>,
-    /// How often the transport's safety-net park timeout fired during
-    /// the run. Under a DST scheduler the wait is untimed (and ranks
-    /// never park on the fabric), so this is always 0 there. In
-    /// wall-clock mode a nonzero count during steady message flow would
-    /// mean a rank made progress only because of the backstop — a
-    /// missed-notification bug; idle waits (async kill schedules,
-    /// respawn delays, watchdog hangs) fire it benignly.
-    pub park_timeouts: u64,
     /// Every per-run statistic, on the one [`faultsim::RunStats`]
     /// surface: `handoff` and `coverage` come from the simulation
     /// scheduler (zeros in wall-clock mode) with

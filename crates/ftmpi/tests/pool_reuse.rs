@@ -6,8 +6,9 @@
 //! byte-for-byte).
 //!
 //! Compared fields are `outcomes`, `hung` and `generations` — the
-//! run's logical result. `duration` and `park_timeouts` are wall-clock
-//! measurements and legitimately vary run to run.
+//! run's logical result. `duration` and
+//! `stats.handoff.park_safety_timeouts` are wall-clock measurements and
+//! legitimately vary run to run.
 
 use std::time::Duration;
 

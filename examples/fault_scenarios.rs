@@ -40,6 +40,19 @@ fn execute(name: &str, cfg: RingConfig, plan: faultsim::FaultPlan, watchdog: Dur
     s
 }
 
+/// Run a short traced ring and print its message diagram, in the
+/// visual language of the paper's figures.
+fn diagram(title: &str, cfg: RingConfig, plan: faultsim::FaultPlan) {
+    let report = run(
+        RANKS,
+        UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(60)).traced(),
+        move |p| run_ring(p, WORLD, &cfg),
+    );
+    assert!(!report.hung, "{title}: the traced run must complete");
+    println!("=== recorded message diagram of the {title} run ===\n");
+    println!("{}", render_sequence_diagram(&report.trace, RANKS, &DiagramOptions::default()));
+}
+
 use ftmpi::faultsim;
 
 fn main() {
@@ -85,18 +98,15 @@ fn main() {
     assert!(s.total_duplicates_dropped >= 1);
     println!("  => the resent duplicate was detected by its marker and dropped.\n");
 
-    // Bonus: render the actual message diagram of a short Fig. 7 run,
-    // in the visual language of the paper's figures.
-    let cfg = RingConfig::paper(3);
-    let report = run(
-        RANKS,
-        UniverseConfig::with_plan(scenario::kill_after_recv(2, 1, T_N, 2))
-            .watchdog(Duration::from_secs(60))
-            .traced(),
-        move |p| run_ring(p, WORLD, &cfg),
+    // Bonus: the actual message diagrams of short Fig. 7 and Fig. 8
+    // runs — the resend that heals the ring, and the resend that makes
+    // a lap close twice.
+    diagram("Fig. 7", RingConfig::paper(3), scenario::kill_after_recv(2, 1, T_N, 2));
+    diagram(
+        "Fig. 8",
+        RingConfig::no_dedup(RANKS as u64),
+        scenario::kill_behind_token(2, 0, T_N, 2),
     );
-    println!("=== recorded message diagram of the Fig. 7 run ===\n");
-    println!("{}", render_sequence_diagram(&report.trace, RANKS, &DiagramOptions::default()));
 
     println!("All four scenarios reproduced the paper's figures.");
 }

@@ -62,31 +62,39 @@ fn fig6_naive_recv_hangs_when_token_dies_with_rank() {
 }
 
 /// Fig. 7: the same fault with the Fig. 9 receive: P1's detector fires
-/// and the resent token heals the ring.
+/// and the resent token heals the ring, at every ring size.
 #[test]
 fn fig7_detector_recv_recovers_from_the_same_fault() {
-    let plan = kill_after_recv(2, 1, T_N, 2);
-    let cfg = RingConfig::paper(MAX_ITER);
-    let report = run(4, UniverseConfig::with_plan(plan).watchdog(watchdog()), move |p| {
-        run_ring(p, WORLD, &cfg)
-    });
-    let s = summarize(&report);
-    assert!(!s.hung, "Fig. 9's receive must run through the failure");
-    assert_eq!(s.failed, vec![2]);
-    assert_eq!(s.survivors, vec![0, 1, 3]);
-    assert_eq!(s.completed_iterations(), MAX_ITER as usize);
-    assert!(!s.has_double_completion());
-    assert!(s.total_resends >= 1, "P1 must have resent the lost token");
-    assert!(s.total_detector_fires >= 1, "P1's failure-detector receive must fire");
-    // Closure markers are exactly 0..MAX_ITER, each once.
-    let mut markers: Vec<u64> = s.closures.iter().map(|(m, _)| *m).collect();
-    markers.sort_unstable();
-    assert_eq!(markers, (0..MAX_ITER).collect::<Vec<_>>());
-    // Laps before the failure count 4 participants, later laps 3.
-    let values: std::collections::HashMap<u64, i64> =
-        s.closures.iter().copied().collect();
-    assert_eq!(values[&0], 4, "iteration 0 ran with all four ranks");
-    assert_eq!(values[&(MAX_ITER - 1)], 3, "final iterations run with three survivors");
+    for ranks in [4usize, 6, 8] {
+        let plan = kill_after_recv(2, 1, T_N, 2);
+        let cfg = RingConfig::paper(MAX_ITER);
+        let report = run(ranks, UniverseConfig::with_plan(plan).watchdog(watchdog()), move |p| {
+            run_ring(p, WORLD, &cfg)
+        });
+        let s = summarize(&report);
+        assert!(!s.hung, "{ranks} ranks: Fig. 9's receive must run through the failure");
+        assert_eq!(s.failed, vec![2]);
+        let survivors: Vec<usize> = (0..ranks).filter(|&r| r != 2).collect();
+        assert_eq!(s.survivors, survivors);
+        assert_eq!(s.completed_iterations(), MAX_ITER as usize);
+        assert!(!s.has_double_completion());
+        assert!(s.total_resends >= 1, "{ranks} ranks: P1 must have resent the lost token");
+        assert!(s.total_detector_fires >= 1, "P1's failure-detector receive must fire");
+        // Closure markers are exactly 0..MAX_ITER, each once.
+        let mut markers: Vec<u64> = s.closures.iter().map(|(m, _)| *m).collect();
+        markers.sort_unstable();
+        assert_eq!(markers, (0..MAX_ITER).collect::<Vec<_>>());
+        // Laps before the failure count every rank, later laps the
+        // survivors.
+        let values: std::collections::HashMap<u64, i64> =
+            s.closures.iter().copied().collect();
+        assert_eq!(values[&0], ranks as i64, "iteration 0 ran with all ranks");
+        assert_eq!(
+            values[&(MAX_ITER - 1)],
+            ranks as i64 - 1,
+            "final iterations run with the survivors"
+        );
+    }
 }
 
 /// Fig. 8: P2 fails right after forwarding to P3; without duplicate
@@ -150,6 +158,10 @@ fn separate_tag_variant_also_controls_duplicates() {
     assert!(!s.hung);
     assert!(!s.has_double_completion(), "closures: {:?}", s.closures);
     assert_eq!(s.completed_iterations(), MAX_ITER as usize);
+    assert!(
+        s.total_duplicates_dropped >= 1,
+        "the resent duplicate must be detected and dropped"
+    );
 }
 
 /// §III-C: "able to run-through multiple, non-root process failures".
