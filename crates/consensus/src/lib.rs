@@ -11,7 +11,7 @@
 //! paper's artifacts and as ablation baselines for the benchmarks:
 //!
 //! * [`election`] — the lowest-alive-rank leader election of Fig. 12;
-//! * [`rbcast`] — flooding reliable broadcast (every deliverer forwards
+//! * [`rbcast`](mod@rbcast) — flooding reliable broadcast (every deliverer forwards
 //!   before delivering, so delivery at any survivor implies eventual
 //!   delivery at all survivors);
 //! * [`agreement`] — a coordinator-based uniform agreement on the

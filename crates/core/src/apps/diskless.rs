@@ -14,7 +14,7 @@
 //!   (generation + 1); the fresh incarnation asks its buddy for the
 //!   last checkpoint, resumes from there, and recomputes only the
 //!   iterations lost since — the "recovery patterns for iterative
-//!   methods" of the paper's citation [24];
+//!   methods" of the paper's citation \[24\];
 //! * if the buddy has nothing (or is itself dead), the block restarts
 //!   from its initial state — slower, still exact.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The second domain application: a ring-allreduce-style vector
 //! reduction (reduce-scatter + allgather around the ring), wrapped in
-//! the *recovery block* pattern the paper attributes to Randell [10]:
+//! the *recovery block* pattern the paper attributes to Randell \[10\]:
 //! attempt the fast pipelined algorithm; if any rank fails mid-flight,
 //! repair the communicator with `MPI_Comm_validate_all` and restart
 //! the block among the survivors. This is exactly the use the paper

@@ -2,13 +2,13 @@
 //!
 //! A blind sweep (`dst explore`) walks seeds in order; whether seed
 //! N+1 exercises anything seed N didn't is luck. The fuzzer closes the
-//! loop: every run's [`CoverageSet`] of `(rank, decision-kind,
-//! protocol-phase)` edges is unioned into a global edge set, schedules
-//! that contributed a **novel** edge join the corpus, and the budget
-//! is spent mutating corpus entries instead of drawing fresh seeds —
-//! with *energy* weighted toward entries that found new coverage
-//! recently, the AFL-style schedule that keeps the search at the
-//! frontier.
+//! loop: every run's [`CoverageSet`](crate::CoverageSet) of `(rank,
+//! decision-kind, protocol-phase)` edges is unioned into a global edge
+//! set, schedules that contributed a **novel** edge join the corpus,
+//! and the budget is spent mutating corpus entries instead of drawing
+//! fresh seeds — with *energy* weighted toward entries that found new
+//! coverage recently, the AFL-style schedule that keeps the search at
+//! the frontier.
 //!
 //! ### Mutators
 //!
@@ -35,19 +35,18 @@
 //! coverage signatures — `tests/fuzz_determinism.rs` referees.
 //!
 //! Mutated schedules are no longer derivable from a single seed, so a
-//! failure record carries the *full* schedule (kills + mask) and the
-//! repro is the fuzz invocation itself.
+//! failure record carries the *full* schedule (kills + mask), and its
+//! repro replays that one line as a one-schedule corpus.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use faultsim::{CoverageStats, HookKind, RunStats};
+use faultsim::{HookKind, RunStats};
 
-use crate::oracle::check_all;
 use crate::scenario::{Kill, KillShape, Retention, ScenarioCfg, Schedule, SeedRunner};
 use crate::sched::SplitMix64;
-use crate::sweep::CorpusWrite;
+use crate::sweep::{judge, Tally};
 
 /// Stream salt: the fuzzer's master PRNG never collides with the
 /// scheduler or kill-derivation streams of any seed it runs.
@@ -163,13 +162,13 @@ pub struct FuzzFailure {
 }
 
 impl FuzzFailure {
-    /// One-line record: schedule + verdict + repro note.
+    /// One-line record: schedule, verdict, the campaign that found it,
+    /// and a repro. The line is itself a one-schedule corpus: saved to
+    /// a file, `dst fuzz --corpus <file> --budget 1` replays exactly
+    /// this schedule (phase 0 runs loaded schedules before any seeding)
+    /// and exits 1 on the violation.
     pub fn line(&self, cfg: &FuzzCfg, scenario: &ScenarioCfg) -> String {
-        let mut line = format!(
-            "schedule {} oracles={}",
-            render_schedule(&self.schedule),
-            self.oracles.join(",")
-        );
+        let mut line = format!("schedule {} oracles={}", self.schedule, self.oracles.join(","));
         if self.hung {
             line.push_str(" hung");
         }
@@ -177,16 +176,9 @@ impl FuzzFailure {
             line.push_str(&format!(" triage=[{}]", self.triage));
         }
         line.push_str(&format!(
-            " repro=\"dst fuzz --seed {:#x} --budget {} --ranks {} --iters {}{}\"",
-            cfg.seed,
-            cfg.budget,
-            scenario.ranks,
-            scenario.max_iter,
-            if scenario.shape != KillShape::Pair {
-                format!(" --shape {}", scenario.shape)
-            } else {
-                String::new()
-            },
+            " campaign={:#x} repro=\"dst fuzz --corpus <file holding this line> --budget 1 \
+             --ranks {} --iters {}\"",
+            cfg.seed, scenario.ranks, scenario.max_iter,
         ));
         line
     }
@@ -242,175 +234,31 @@ impl FuzzReport {
     pub fn corpus_lines(&self) -> Vec<String> {
         let mut lines = vec![format!("# dst fuzz corpus v1 edges={:#x}", self.signature())];
         lines.extend(
-            self.corpus
-                .iter()
-                .map(|e| format!("schedule {} novel={}", render_schedule(&e.schedule), e.novel_edges)),
+            self.corpus.iter().map(|e| format!("schedule {} novel={}", e.schedule, e.novel_edges)),
         );
         lines
     }
-
-    /// Write the evolved corpus (same [`CorpusWrite`] surface as
-    /// [`crate::sweep::SweepReport::write_corpus`]). Unlike the
-    /// failure corpus, an evolved corpus is written even when no run
-    /// failed — it is the campaign's accumulated knowledge.
-    pub fn write_corpus(&self, path: &Path) -> std::io::Result<CorpusWrite> {
-        let lines = self.corpus_lines();
-        crate::sweep::write_lines(path, &lines)?;
-        Ok(CorpusWrite { path: path.to_path_buf(), lines: self.corpus.len(), overflow: 0 })
-    }
 }
 
-/// `v:Hook:occ` triples, `,`-separated — stable and parseable.
-fn render_kills(kills: &[Kill]) -> String {
-    let mut out = String::new();
-    for (i, k) in kills.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}:{}", k.victim, hook_name(k.hook), k.occurrence));
-    }
-    out
-}
-
-/// Full schedule rendering: `seed=0x… kills=[…] mask=[…]`.
-fn render_schedule(s: &Schedule) -> String {
-    let mut out = format!("seed={:#x} kills=[{}]", s.seed, render_kills(&s.kills));
-    if let Some(mask) = &s.delay_mask {
-        let rendered: Vec<String> = mask.iter().map(|m| m.to_string()).collect();
-        out.push_str(&format!(" mask=[{}]", rendered.join(",")));
-    }
-    out
-}
-
-/// Stable hook name for corpus serialization.
-fn hook_name(h: HookKind) -> &'static str {
-    match h {
-        HookKind::BeforeSend => "BeforeSend",
-        HookKind::AfterSend => "AfterSend",
-        HookKind::BeforeRecvPost => "BeforeRecvPost",
-        HookKind::AfterRecvComplete => "AfterRecvComplete",
-        HookKind::BeforeCollective => "BeforeCollective",
-        HookKind::AfterCollective => "AfterCollective",
-        HookKind::BeforeValidate => "BeforeValidate",
-        HookKind::AfterValidate => "AfterValidate",
-        HookKind::Tick => "Tick",
-    }
-}
-
-/// Inverse of [`hook_name`].
-fn hook_from_name(s: &str) -> Option<HookKind> {
-    Some(match s {
-        "BeforeSend" => HookKind::BeforeSend,
-        "AfterSend" => HookKind::AfterSend,
-        "BeforeRecvPost" => HookKind::BeforeRecvPost,
-        "AfterRecvComplete" => HookKind::AfterRecvComplete,
-        "BeforeCollective" => HookKind::BeforeCollective,
-        "AfterCollective" => HookKind::AfterCollective,
-        "BeforeValidate" => HookKind::BeforeValidate,
-        "AfterValidate" => HookKind::AfterValidate,
-        "Tick" => HookKind::Tick,
-        _ => return None,
-    })
-}
-
-/// Parse one `schedule seed=… kills=[…] [mask=[…]] …` line back into a
-/// schedule for a `ranks`-rank scenario. Lines not starting with
-/// `schedule ` (comments, blanks) return `Ok(None)`. Everything the
-/// executor would choke on is an error here instead: a kill of a rank
-/// the scenario lacks, occurrence 0 (occurrences are 1-based), a field
-/// given twice.
-fn parse_schedule_line(line: &str, ranks: usize) -> Result<Option<Schedule>, String> {
-    let line = line.trim();
-    let Some(rest) = line.strip_prefix("schedule ") else {
-        return Ok(None);
-    };
-    let mut seed = None;
-    let mut kills = None;
-    let mut mask = None;
-    for tok in rest.split_whitespace() {
-        if let Some(v) = tok.strip_prefix("seed=") {
-            let v = v.strip_prefix("0x").ok_or_else(|| format!("seed not hex: {tok}"))?;
-            let v = u64::from_str_radix(v, 16).map_err(|e| format!("bad seed {tok}: {e}"))?;
-            set_once(&mut seed, v, "seed")?;
-        } else if let Some(v) = tok.strip_prefix("kills=[") {
-            let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated kills: {tok}"))?;
-            let mut ks = Vec::new();
-            for trip in v.split(',').filter(|t| !t.is_empty()) {
-                ks.push(parse_kill(trip, ranks)?);
-            }
-            set_once(&mut kills, ks, "kills")?;
-        } else if let Some(v) = tok.strip_prefix("mask=[") {
-            let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated mask: {tok}"))?;
-            let mut m = Vec::new();
-            for idx in v.split(',').filter(|t| !t.is_empty()) {
-                m.push(idx.parse::<u64>().map_err(|e| format!("bad mask index {idx}: {e}"))?);
-            }
-            set_once(&mut mask, m, "mask")?;
-        }
-        // Unknown tokens (novel=…, future fields) are ignored.
-    }
-    let seed = seed.ok_or_else(|| format!("schedule line without seed: {line}"))?;
-    Ok(Some(Schedule { seed, kills: kills.unwrap_or_default(), delay_mask: mask }))
-}
-
-/// Store a parsed field, rejecting a second occurrence of it.
-fn set_once<T>(slot: &mut Option<T>, v: T, field: &str) -> Result<(), String> {
-    if slot.replace(v).is_some() {
-        return Err(format!("{field}= given twice"));
-    }
-    Ok(())
-}
-
-/// Parse one `victim:Hook:occurrence` kill for a `ranks`-rank scenario.
-fn parse_kill(trip: &str, ranks: usize) -> Result<Kill, String> {
-    let mut parts = trip.split(':');
-    let victim = parts
-        .next()
-        .and_then(|p| p.parse::<usize>().ok())
-        .ok_or_else(|| format!("bad victim in {trip}"))?;
-    let hook =
-        parts.next().and_then(hook_from_name).ok_or_else(|| format!("bad hook in {trip}"))?;
-    let occurrence = parts
-        .next()
-        .and_then(|p| p.parse::<u64>().ok())
-        .filter(|&o| o >= 1)
-        .ok_or_else(|| format!("bad occurrence in {trip} (occurrences are 1-based)"))?;
-    if parts.next().is_some() {
-        return Err(format!("bad kill {trip}: expected victim:Hook:occurrence"));
-    }
-    if victim >= ranks {
-        return Err(format!(
-            "kill {trip} names rank {victim} but the scenario has {ranks} ranks \
-             (was this corpus evolved at a different --ranks?)"
-        ));
-    }
-    Ok(Kill { victim, hook, occurrence })
-}
-
-/// Load an evolved corpus file for a `ranks`-rank scenario. Missing
-/// file = empty corpus (first campaign); a malformed line is an error
-/// citing `path:line`, not a silent skip.
+/// Load a corpus file of schedule lines for a `ranks`-rank scenario.
+/// Missing file = empty corpus (first campaign). Blank lines and `#`
+/// comments are skipped; every other line must be a schedule line, and
+/// one that is not — or is malformed — is an error citing
+/// `path:line`, never a silent skip.
 fn load_corpus(path: &Path, ranks: usize) -> Result<Vec<Schedule>, FuzzError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(FuzzError::Corpus(format!("{}: {e}", path.display()))),
     };
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        match parse_schedule_line(line, ranks) {
-            Ok(Some(s)) => out.push(s),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(FuzzError::Corpus(format!(
-                    "{}:{}: {e}",
-                    path.display(),
-                    i + 1
-                )))
-            }
-        }
-    }
-    Ok(out)
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty() && !line.trim_start().starts_with('#'))
+        .map(|(i, line)| {
+            Schedule::parse(line, ranks)
+                .map_err(|e| FuzzError::Corpus(format!("{}:{}: {e}", path.display(), i + 1)))
+        })
+        .collect()
 }
 
 /// Mutation energy of a corpus entry at execution index `now`:
@@ -557,24 +405,12 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     let begun = Instant::now();
     let mut rng = SplitMix64::new(cfg.seed ^ FUZZ_SALT);
     let mut runner = SeedRunner::new(scenario.ranks);
-    let mut global: BTreeSet<u64> = BTreeSet::new();
+    let mut tally = Tally::default();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut failures: Vec<FuzzFailure> = Vec::new();
-    let mut report = FuzzReport {
-        seed: cfg.seed,
-        executed: 0,
-        seeded: 0,
-        novel: 0,
-        green: 0,
-        failing: 0,
-        hung: 0,
-        corpus: Vec::new(),
-        discovered: BTreeSet::new(),
-        failures: Vec::new(),
-        dropped_failures: 0,
-        stats: RunStats::default(),
-        elapsed: Duration::ZERO,
-    };
+    let mut dropped_failures = 0u64;
+    let mut seeded = 0u64;
+    let mut novel = 0u64;
 
     // Scratch buffers reused across the whole campaign.
     let mut scratch = Schedule { seed: 0, kills: Vec::new(), delay_mask: None };
@@ -585,54 +421,31 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
         ($schedule:expr, $parent:expr) => {{
             let schedule: &Schedule = $schedule;
             let obs = runner.run_schedule_with(schedule, scenario, Retention::Quiet);
-            report.executed += 1;
-            report.stats.merge(&obs.stats);
-            if obs.hung {
-                report.hung += 1;
-            }
-            let mut fresh = 0u64;
-            for e in obs.coverage.iter() {
-                if global.insert(e) {
-                    fresh += 1;
-                }
-            }
+            let judged = judge(&obs);
+            let fresh = tally.record(&obs, judged.is_some());
             if fresh > 0 {
-                report.novel += 1;
+                novel += 1;
                 let parent: Option<usize> = $parent;
                 if let Some(p) = parent {
-                    corpus[p].last_novel = report.executed;
+                    corpus[p].last_novel = tally.runs();
                 }
                 corpus.push(CorpusEntry {
                     schedule: schedule.clone(),
                     novel_edges: fresh,
-                    last_novel: report.executed,
+                    last_novel: tally.runs(),
                 });
             }
-            let violations = check_all(&obs);
-            if violations.is_empty() {
-                report.green += 1;
-            } else {
-                report.failing += 1;
+            if let Some(j) = judged {
                 if failures.len() < cfg.max_failures.max(1) {
-                    let mut oracles: Vec<String> = Vec::new();
-                    for v in &violations {
-                        if !oracles.iter().any(|o| o.as_str() == v.oracle) {
-                            oracles.push(v.oracle.to_string());
-                        }
-                    }
                     failures.push(FuzzFailure {
                         schedule: schedule.clone(),
-                        oracles,
-                        violations: violations.iter().map(|v| v.to_string()).collect(),
-                        hung: obs.hung,
-                        triage: if obs.hung {
-                            crate::triage::triage(&obs).one_line()
-                        } else {
-                            String::new()
-                        },
+                        oracles: j.oracles,
+                        violations: j.violations,
+                        hung: j.hung,
+                        triage: j.triage,
                     });
                 } else {
-                    report.dropped_failures += 1;
+                    dropped_failures += 1;
                 }
             }
             runner.recycle(obs);
@@ -642,7 +455,7 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     // Phase 0: replay the loaded corpus — its entries are the prior
     // campaigns' knowledge and claim their edges first.
     for schedule in &loaded {
-        if report.executed >= cfg.budget {
+        if tally.runs() >= cfg.budget {
             break;
         }
         run_one!(schedule, None);
@@ -653,17 +466,17 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     // rest goes to the frontier.
     let seed_budget = (cfg.budget / 8).max(64).min(cfg.budget / 2).max(1);
     let mut shape_i = 0usize;
-    while report.executed < cfg.budget && report.seeded < seed_budget {
+    while tally.runs() < cfg.budget && seeded < seed_budget {
         derive_cfg.shape = KillShape::ALL[shape_i % KillShape::ALL.len()];
         shape_i += 1;
         let seed = rng.next_u64();
         Schedule::from_seed_into(seed, &derive_cfg, &mut scratch);
-        report.seeded += 1;
+        seeded += 1;
         run_one!(&scratch, None);
     }
 
     // Phase 2: mutation at the frontier.
-    while report.executed < cfg.budget {
+    while tally.runs() < cfg.budget {
         if corpus.is_empty() {
             // Degenerate (tiny budget): keep seeding.
             derive_cfg.shape = KillShape::ALL[shape_i % KillShape::ALL.len()];
@@ -673,7 +486,7 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
             run_one!(&scratch, None);
             continue;
         }
-        let p = pick_parent(&corpus, report.executed, &mut rng);
+        let p = pick_parent(&corpus, tally.runs(), &mut rng);
         let partner = if corpus.len() > 1 {
             // Uniform splice mate (may equal the parent; harmless).
             Some(rng.below(corpus.len()))
@@ -686,15 +499,21 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
         run_one!(&scratch, Some(p));
     }
 
-    report.stats.coverage = CoverageStats {
-        edges: global.len() as u64,
-        signature: global.iter().fold(0, |d, e| d ^ e),
-    };
-    report.discovered = global;
-    report.corpus = corpus;
-    report.failures = failures;
-    report.elapsed = begun.elapsed();
-    Ok(report)
+    Ok(FuzzReport {
+        seed: cfg.seed,
+        executed: tally.runs(),
+        seeded,
+        novel,
+        green: tally.green,
+        failing: tally.failing,
+        hung: tally.hung,
+        corpus,
+        stats: tally.stats(),
+        discovered: tally.edges,
+        failures,
+        dropped_failures,
+        elapsed: begun.elapsed(),
+    })
 }
 
 #[cfg(test)]
@@ -711,24 +530,21 @@ mod tests {
             ],
             delay_mask: Some(vec![1, 5, 299]),
         };
-        let line = format!("schedule {} novel=7", render_schedule(&s));
-        let parsed = parse_schedule_line(&line, 4).unwrap().unwrap();
-        assert_eq!(parsed.seed, s.seed);
-        assert_eq!(parsed.kills, s.kills);
-        assert_eq!(parsed.delay_mask, s.delay_mask);
-        // No mask: stays None through the round trip.
-        let bare = Schedule { seed: 1, kills: Vec::new(), delay_mask: None };
-        let parsed = parse_schedule_line(&format!("schedule {}", render_schedule(&bare)), 4)
-            .unwrap()
-            .unwrap();
-        assert_eq!(parsed.delay_mask, None);
-        assert!(parsed.kills.is_empty());
-        // Comments and blanks are skipped.
-        assert!(parse_schedule_line("# comment", 4).unwrap().is_none());
-        assert!(parse_schedule_line("", 4).unwrap().is_none());
+        let line = format!("schedule {s} novel=7");
+        assert_eq!(
+            line,
+            "schedule seed=0xbeef kills=[2:AfterSend:3,0:BeforeValidate:1] mask=[1,5,299] novel=7"
+        );
+        assert_eq!(Schedule::parse(&line, 4).unwrap(), s);
+        // No mask stays None; an empty mask stays an empty mask.
+        for delay_mask in [None, Some(vec![])] {
+            let bare = Schedule { seed: 1, kills: Vec::new(), delay_mask };
+            assert_eq!(Schedule::parse(&format!("schedule {bare}"), 4).unwrap(), bare);
+        }
         // Garbage is an error, not a skip.
-        assert!(parse_schedule_line("schedule seed=12", 4).is_err());
-        assert!(parse_schedule_line("schedule kills=[]", 4).is_err());
+        assert!(Schedule::parse("schedule seed=12", 4).is_err());
+        assert!(Schedule::parse("schedule kills=[]", 4).is_err());
+        assert!(Schedule::parse("# comment", 4).is_err());
     }
 
     /// Every seed-derived schedule — all seven kill shapes, 4 and 8
@@ -741,13 +557,10 @@ mod tests {
                 let cfg = ScenarioCfg { ranks, shape, ..ScenarioCfg::default() };
                 for seed in 0..64u64 {
                     let s = Schedule::from_seed(seed.wrapping_mul(0x9E37_79B9), &cfg);
-                    let line = format!("schedule {} novel=1", render_schedule(&s));
-                    let parsed = parse_schedule_line(&line, ranks)
-                        .unwrap_or_else(|e| panic!("{line}: {e}"))
-                        .expect("a schedule line");
-                    assert_eq!(parsed.seed, s.seed, "{line}");
-                    assert_eq!(parsed.kills, s.kills, "{line}");
-                    assert_eq!(parsed.delay_mask, s.delay_mask, "{line}");
+                    let line = format!("schedule {s} novel=1");
+                    let parsed =
+                        Schedule::parse(&line, ranks).unwrap_or_else(|e| panic!("{line}: {e}"));
+                    assert_eq!(parsed, s, "{line}");
                 }
             }
         }
@@ -769,19 +582,27 @@ mod tests {
             ("schedule seed=0x1 kills=[9:Tick:3]", "names rank 9 but the scenario has 4 ranks"),
             ("schedule seed=0x1 seed=0x2 kills=[]", "seed= given twice"),
             ("schedule seed=0x1 kills=[] mask=[1,x]", "bad mask index"),
+            ("seed=0x1 kills=[1:Tick:3]", "not a schedule line"),
+            (
+                "seed=0x2 oracles=no-duplicate kills=[kill 2 at AfterSend#1] \
+                 repro=\"dst replay --seed 0x2 --ranks 4 --iters 3\"",
+                "not a schedule line",
+            ),
         ];
         let dir = std::env::temp_dir();
         for (i, (bad, needle)) in cases.iter().enumerate() {
             let path = dir.join(format!("dst_malformed_{}_{i}.corpus", std::process::id()));
-            // The bad line sits on line 3, after a header and a good line.
-            let text = format!("# dst fuzz corpus v1\nschedule seed=0x2 kills=[0:Tick:1]\n{bad}\n");
+            // The bad line sits on line 4, after a header, a good line
+            // and a blank.
+            let text =
+                format!("# dst fuzz corpus v1\nschedule seed=0x2 kills=[0:Tick:1]\n\n{bad}\n");
             std::fs::write(&path, text).unwrap();
             let err = load_corpus(&path, 4);
             let _ = std::fs::remove_file(&path);
             match err {
                 Err(FuzzError::Corpus(msg)) => {
                     assert!(
-                        msg.starts_with(&format!("{}:3: ", path.display())),
+                        msg.starts_with(&format!("{}:4: ", path.display())),
                         "{bad}: no path:line in {msg}"
                     );
                     assert!(msg.contains(needle), "{bad}: expected {needle:?} in {msg}");

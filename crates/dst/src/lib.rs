@@ -49,8 +49,8 @@ pub use oracle::{all_oracles, check_all, Oracle, Violation};
 pub use scenario::{Kill, KillShape, Observation, Retention, ScenarioCfg, Schedule, SeedRunner};
 pub use faultsim::{CoverageStats, HandoffStats, RunStats};
 pub use sched::{SchedEvent, Scheduler, SplitMix64};
-pub use shrink::{shrink, Ev, Shrunk};
-pub use sweep::{sweep, CorpusWrite, FailureSummary, SweepCfg, SweepError, SweepReport};
+pub use shrink::{shrink, Shrunk};
+pub use sweep::{sweep, FailureSummary, SweepCfg, SweepError, SweepReport};
 pub use triage::{triage, triage_trace, TriageReport, WaitEdge, WaitKind};
 
 /// Result of exploring one seed.
@@ -66,7 +66,7 @@ pub struct SeedResult {
 
 /// Run `count` seeds starting at `start` serially and oracle-check
 /// each one. Returns one full result per seed, in order — O(count)
-/// memory, so this is for tests and small sweeps; use [`sweep`] for
+/// memory, so this is for tests and small sweeps; use [`sweep()`] for
 /// large campaigns (parallel workers, streaming aggregation, bounded
 /// failure retention).
 ///
@@ -117,27 +117,80 @@ mod tests {
             );
 
             let s = shrink(seed, &cfg, None).expect("failing schedule must shrink");
-            assert!(
-                s.events.len() <= 2,
-                "seed {seed:#x} shrank to {} events: {:?}",
-                s.events.len(),
-                s.events
-            );
+            let events =
+                s.schedule.kills.len() + s.schedule.delay_mask.as_ref().map_or(0, Vec::len);
+            assert!(events <= 2, "seed {seed:#x} shrank to {events} events: {}", s.schedule);
             assert!(s.violations.iter().any(|v| v.oracle == "no-duplicate"));
 
             // The minimal schedule replays to the same violation.
-            let mut kills = Vec::new();
-            let mut delays = Vec::new();
-            for ev in &s.events {
-                match ev {
-                    Ev::Kill(k) => kills.push(*k),
-                    Ev::Delay(c) => delays.push(*c),
-                }
-            }
-            let minimal = Schedule { seed, kills, delay_mask: Some(delays) };
-            let replay = run_schedule(&minimal, &cfg);
+            let replay = run_schedule(&s.schedule, &cfg);
             assert!(check_all(&replay).iter().any(|v| v.oracle == "no-duplicate"));
         }
+    }
+
+    /// Every schedule line the library renders — explore corpus lines
+    /// (pair shape, with and without `--shrink-failures`, and the
+    /// masked shape, which carries a mask), fuzz FAIL and corpus lines,
+    /// and the shrinker's minimal schedule — parses back to the
+    /// schedule that ran.
+    #[test]
+    fn every_schedule_line_parses_back() {
+        let parse = |line: &str| {
+            Schedule::parse(line, 4).unwrap_or_else(|e| panic!("{line}: {e}"))
+        };
+
+        let buggy = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+        for shrink_failures in [false, true] {
+            let cfg =
+                SweepCfg { start: 0x2d, count: 3, jobs: 1, shrink_failures, ..SweepCfg::default() };
+            let report = sweep(&cfg, &buggy).unwrap();
+            assert!(!report.failures.is_empty());
+            for (f, line) in report.failures.values().zip(report.corpus_lines(&buggy)) {
+                let ran = if shrink_failures {
+                    shrink(f.seed, &buggy, None).unwrap().observation.schedule
+                } else {
+                    run_seed(f.seed, &buggy).schedule
+                };
+                assert_eq!(parse(&line), ran);
+                assert!(!check_all(&run_schedule(&ran, &buggy)).is_empty(), "{line}");
+            }
+        }
+
+        // The hardened ring never fails, so the masked-shape line is
+        // rendered for a planted failure record.
+        let masked = ScenarioCfg { shape: KillShape::Masked, ..ScenarioCfg::default() };
+        let mut report =
+            sweep(&SweepCfg { start: 3, count: 1, jobs: 1, ..SweepCfg::default() }, &masked)
+                .unwrap();
+        report.failures.insert(3, FailureSummary {
+            seed: 3,
+            oracles: vec!["ring-completion".into()],
+            violations: Vec::new(),
+            hung: true,
+            triage: "rank 2 waits on T_N from rank 1 (DEAD)".into(),
+            shrunk: None,
+        });
+        let ran = run_seed(3, &masked).schedule;
+        assert!(ran.delay_mask.is_some());
+        assert_eq!(parse(&report.corpus_lines(&masked)[0]), ran);
+
+        let scenario = ScenarioCfg::default();
+        let cfg = FuzzCfg { seed: 9, budget: 40, ..FuzzCfg::default() };
+        let fuzzed = fuzz(&cfg, &scenario).unwrap();
+        for (e, line) in fuzzed.corpus.iter().zip(&fuzzed.corpus_lines()[1..]) {
+            assert_eq!(parse(line), e.schedule);
+            let fail = fuzz::FuzzFailure {
+                schedule: e.schedule.clone(),
+                oracles: vec!["ring-completion".into()],
+                violations: Vec::new(),
+                hung: true,
+                triage: "rank 0 waits on validate round 2".into(),
+            };
+            assert_eq!(parse(&fail.line(&cfg, &scenario)), e.schedule);
+        }
+
+        let s = shrink(0x2f, &buggy, None).unwrap();
+        assert_eq!(parse(&format!("schedule {}", s.schedule)), s.observation.schedule);
     }
 
     /// Pinned mini-corpus: the hardened ring survives seed-derived

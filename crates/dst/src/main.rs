@@ -45,9 +45,10 @@ use std::process::ExitCode;
 
 use dst::sweep::write_lines;
 use dst::{
-    check_all, fuzz, shrink, sweep, CorpusWrite, FuzzCfg, KillShape, Retention, ScenarioCfg,
-    SeedRunner, SweepCfg,
+    check_all, fuzz, shrink, sweep, FuzzCfg, KillShape, Retention, ScenarioCfg, SeedRunner,
+    SweepCfg,
 };
+use ftmpi::RankOutcome;
 
 /// Largest world size the CLI accepts: every rank is a live executor
 /// thread, so values beyond this are typos, not experiments.
@@ -343,14 +344,13 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         ShapeArg::All => KillShape::ALL.to_vec(),
         ShapeArg::One(s) => vec![s],
     };
-    let sweep_cfg = SweepCfg::builder()
-        .start(args.start)
-        .count(args.seeds)
-        .jobs(args.jobs.unwrap_or(0))
-        .max_failures(args.max_failures)
-        .shrink_failures(args.shrink_failures)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let sweep_cfg = SweepCfg {
+        start: args.start,
+        count: args.seeds,
+        jobs: args.jobs.unwrap_or(0),
+        max_failures: args.max_failures,
+        shrink_failures: args.shrink_failures,
+    };
 
     let mut total_failing = 0u64;
     let mut total_dropped = 0u64;
@@ -362,9 +362,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
 
         for f in report.failures.values() {
             println!("seed {:#x} [shape {shape}]: FAIL", f.seed);
-            for k in &f.kills {
-                println!("  schedule: {k}");
-            }
+            println!("  schedule {}", f.schedule(&cfg));
             for v in &f.violations {
                 println!("  violation: {v}");
             }
@@ -372,7 +370,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
                 println!("  triage: {}", f.triage);
             }
             if let Some(s) = &f.shrunk {
-                println!("  shrunk ({} runs): {}", s.runs, s.events.join("; "));
+                println!("  shrunk in {} runs", s.runs);
             }
         }
         if report.dropped_failures > 0 {
@@ -409,16 +407,20 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     }
 
     if let Some(path) = &args.corpus {
-        // Same summary surface as `SweepReport::write_corpus`; the CLI
-        // aggregates lines across shapes first, so it writes through
-        // the shared sink itself.
-        let summary =
-            CorpusWrite { path: path.clone(), lines: corpus_repros, overflow: total_dropped };
-        if summary.created() {
+        // No failures, no file: CI uploads the corpus exactly when it
+        // exists. Past the retention cap, the lines end in a counted
+        // `#` marker and the summary repeats the count.
+        if corpus_repros == 0 {
+            println!("no failures; corpus {} not written", path.display());
+        } else {
             write_lines(path, &corpus)
                 .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))?;
+            print!("wrote {corpus_repros} repro line(s) to {}", path.display());
+            if total_dropped > 0 {
+                print!(" (+{total_dropped} beyond the retention cap)");
+            }
+            println!();
         }
-        println!("{summary}");
     }
 
     Ok(if total_failing == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
@@ -497,10 +499,11 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
         print_stats(&report.stats, report.executed, "[fuzz]");
     }
     if let Some(path) = &args.corpus {
-        let w = report
-            .write_corpus(path)
+        // Written even when every run was green: the evolved corpus is
+        // the campaign's accumulated knowledge.
+        write_lines(path, &report.corpus_lines())
             .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))?;
-        println!("evolved corpus: {} schedule(s) at {}", w.lines, w.path.display());
+        println!("evolved corpus: {} schedule(s) at {}", report.corpus.len(), path.display());
     }
 
     Ok(if report.failing == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
@@ -514,13 +517,14 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
         "seed {seed:#x} ({} ranks, {} iters, shape {})",
         cfg.ranks, cfg.max_iter, cfg.shape
     );
-    for k in &obs.schedule.kills {
-        println!("schedule: {k}");
-    }
+    println!("schedule {}", obs.schedule);
     println!("delays at drain calls: {:?}", obs.delay_calls);
     println!("hung: {}", obs.hung);
     for (rank, o) in obs.outcomes.iter().enumerate() {
-        println!("rank {rank}: {o:?}");
+        match o {
+            RankOutcome::Ok(_) => println!("rank {rank}: Ok"),
+            other => println!("rank {rank}: {other:?}"),
+        }
     }
     let violations = check_all(&obs);
     for v in &violations {
@@ -546,14 +550,8 @@ fn cmd_shrink(args: &Args) -> Result<ExitCode, String> {
     let cfg = cfg_of(args, one_shape(args))?;
     match shrink(seed, &cfg, None) {
         Some(s) => {
-            println!(
-                "seed {seed:#x}: shrunk to {} event(s) in {} runs",
-                s.events.len(),
-                s.runs
-            );
-            for ev in &s.events {
-                println!("  {ev}");
-            }
+            println!("seed {seed:#x}: shrunk in {} runs", s.runs);
+            println!("  schedule {}", s.schedule);
             for v in &s.violations {
                 println!("  still violates: {v}");
             }

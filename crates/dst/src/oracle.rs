@@ -22,9 +22,9 @@
 
 use std::collections::BTreeMap;
 
-use ftmpi::Event;
+use ftmpi::{Event, RankOutcome};
 
-use crate::scenario::{Observation, Outcome};
+use crate::scenario::Observation;
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,13 +131,13 @@ impl Oracle for RingCompletion {
             obs.outcomes
                 .iter()
                 .enumerate()
-                .all(|(q, o)| q == rank || matches!(o, Outcome::Failed))
+                .all(|(q, o)| q == rank || o.is_failed())
         };
         for (rank, o) in obs.outcomes.iter().enumerate() {
             match o {
-                Outcome::Ok => {}
-                Outcome::Failed if killed.contains(&rank) => {}
-                Outcome::Aborted(-1) if lone_survivor_abort(rank) => {}
+                RankOutcome::Ok(_) => {}
+                RankOutcome::Failed if killed.contains(&rank) => {}
+                RankOutcome::Aborted { code: -1 } if lone_survivor_abort(rank) => {}
                 other => {
                     return Err(violation(
                         self.name(),
@@ -160,7 +160,7 @@ impl Oracle for RingCompletion {
                 seen.insert(*marker);
             }
         }
-        if !killed.contains(&0) && matches!(obs.outcomes[0], Outcome::Ok) {
+        if !killed.contains(&0) && obs.outcomes[0].is_ok() {
             // The initial root ran to completion, so every closure
             // record survived too. (A rank-0 lone-survivor abort cuts
             // the job short by design — no coverage to demand.)

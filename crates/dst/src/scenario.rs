@@ -275,15 +275,54 @@ pub struct Kill {
     pub occurrence: u64,
 }
 
+impl Kill {
+    /// Parse one `victim:Hook:occurrence` triple for a `ranks`-rank
+    /// scenario (the inverse of the `Display` rendering).
+    fn parse(trip: &str, ranks: usize) -> Result<Kill, String> {
+        let mut parts = trip.split(':');
+        let victim = parts
+            .next()
+            .and_then(|p| p.parse::<usize>().ok())
+            .ok_or_else(|| format!("bad victim in {trip}"))?;
+        let hook = parts
+            .next()
+            .and_then(HookKind::from_name)
+            .ok_or_else(|| format!("bad hook in {trip}"))?;
+        let occurrence = parts
+            .next()
+            .and_then(|p| p.parse::<u64>().ok())
+            .filter(|&o| o >= 1)
+            .ok_or_else(|| format!("bad occurrence in {trip} (occurrences are 1-based)"))?;
+        if parts.next().is_some() {
+            return Err(format!("bad kill {trip}: expected victim:Hook:occurrence"));
+        }
+        if victim >= ranks {
+            return Err(format!(
+                "kill {trip} names rank {victim} but the scenario has {ranks} ranks \
+                 (was this line written at a different --ranks?)"
+            ));
+        }
+        Ok(Kill { victim, hook, occurrence })
+    }
+}
+
+/// `victim:Hook:occurrence`, e.g. `2:AfterSend:3`.
 impl std::fmt::Display for Kill {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "kill {} at {:?}#{}", self.victim, self.hook, self.occurrence)
+        write!(f, "{}:{}:{}", self.victim, self.hook.name(), self.occurrence)
     }
 }
 
 /// A complete named execution: seed plus derived (or shrunk) kill-set
 /// and delay-mask.
-#[derive(Debug, Clone)]
+///
+/// Its one text form is the `Display` rendering,
+/// `seed=0x2d kills=[2:AfterSend:1,3:Tick:4] mask=[1,5]` (the mask only
+/// when one is set). Every line the harness writes about a schedule —
+/// explore, replay, shrink and fuzz output, both corpus files — is
+/// `schedule <that rendering>` followed by free-form fields, and
+/// [`Schedule::parse`] reads any of them back.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Seed for every scheduler decision.
     pub seed: u64,
@@ -341,6 +380,50 @@ impl Schedule {
         }
     }
 
+    /// Parse a schedule line, `schedule seed=0x… kills=[…] [mask=[…]] …`,
+    /// for a `ranks`-rank scenario. The schedule fields must follow the
+    /// `schedule ` prefix; parsing stops at the first other token, so
+    /// whatever a writer appends (`novel=`, `oracles=`, `repro="…"`) is
+    /// ignored. Everything the executor would choke on is an error: a
+    /// kill of a rank the scenario lacks, occurrence 0 (occurrences are
+    /// 1-based), a field given twice.
+    pub fn parse(line: &str, ranks: usize) -> Result<Schedule, String> {
+        let line = line.trim();
+        let rest = line.strip_prefix("schedule ").ok_or_else(|| {
+            format!("not a schedule line (expected `schedule seed=0x…`): {line}")
+        })?;
+        let mut seed = None;
+        let mut kills = None;
+        let mut mask = None;
+        for tok in rest.split_whitespace() {
+            if let Some(v) = tok.strip_prefix("seed=") {
+                let v = v.strip_prefix("0x").ok_or_else(|| format!("seed not hex: {tok}"))?;
+                let v = u64::from_str_radix(v, 16).map_err(|e| format!("bad seed {tok}: {e}"))?;
+                set_once(&mut seed, v, "seed")?;
+            } else if let Some(v) = tok.strip_prefix("kills=[") {
+                let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated kills: {tok}"))?;
+                let ks = v
+                    .split(',')
+                    .filter(|t| !t.is_empty())
+                    .map(|t| Kill::parse(t, ranks))
+                    .collect::<Result<Vec<_>, _>>()?;
+                set_once(&mut kills, ks, "kills")?;
+            } else if let Some(v) = tok.strip_prefix("mask=[") {
+                let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated mask: {tok}"))?;
+                let m = v
+                    .split(',')
+                    .filter(|t| !t.is_empty())
+                    .map(|i| i.parse::<u64>().map_err(|e| format!("bad mask index {i}: {e}")))
+                    .collect::<Result<Vec<_>, _>>()?;
+                set_once(&mut mask, m, "mask")?;
+            } else {
+                break;
+            }
+        }
+        let seed = seed.ok_or_else(|| format!("schedule line without seed: {line}"))?;
+        Ok(Schedule { seed, kills: kills.unwrap_or_default(), delay_mask: mask })
+    }
+
     /// Copy `src`'s content into `self`, reusing `self`'s kill/mask
     /// buffers instead of allocating fresh ones (the derived
     /// `Clone::clone` can't). This is what lets the [`SeedRunner`]
@@ -360,6 +443,34 @@ impl Schedule {
             None => self.delay_mask = None,
         }
     }
+}
+
+/// `seed=0x… kills=[v:Hook:occ,…]`, plus ` mask=[i,…]` when a mask is
+/// set (an empty mask renders as `mask=[]`: no drain call delays).
+impl std::fmt::Display for Schedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "seed={:#x} kills=[", self.seed)?;
+        for (i, k) in self.kills.iter().enumerate() {
+            write!(f, "{}{k}", if i > 0 { "," } else { "" })?;
+        }
+        f.write_str("]")?;
+        if let Some(mask) = &self.delay_mask {
+            f.write_str(" mask=[")?;
+            for (i, m) in mask.iter().enumerate() {
+                write!(f, "{}{m}", if i > 0 { "," } else { "" })?;
+            }
+            f.write_str("]")?;
+        }
+        Ok(())
+    }
+}
+
+/// Store a parsed field, rejecting a second occurrence of it.
+fn set_once<T>(slot: &mut Option<T>, v: T, field: &str) -> Result<(), String> {
+    if slot.replace(v).is_some() {
+        return Err(format!("{field}= given twice"));
+    }
+    Ok(())
 }
 
 /// Fixed-capacity victim scratch: no shape draws more than 3 distinct
@@ -560,21 +671,6 @@ fn derive_delay_mask(rng: &mut SplitMix64, mask: &mut Vec<u64>) {
     mask.dedup();
 }
 
-/// Simplified per-rank outcome (type-erased for the oracles).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
-    /// Returned ring stats normally.
-    Ok,
-    /// Fail-stopped by injection.
-    Failed,
-    /// Observed a job abort with this code.
-    Aborted(i32),
-    /// Returned a non-terminal error.
-    Err(String),
-    /// Panicked.
-    Panicked(String),
-}
-
 /// Everything the oracles can see about one executed schedule.
 #[derive(Debug, Clone)]
 pub struct Observation {
@@ -582,10 +678,9 @@ pub struct Observation {
     pub schedule: Schedule,
     /// The scenario it ran under.
     pub cfg: ScenarioCfg,
-    /// Per-rank simplified outcomes, indexed by world rank.
-    pub outcomes: Vec<Outcome>,
-    /// Per-rank ring stats for ranks that completed.
-    pub ring_stats: Vec<Option<RingStats>>,
+    /// Per-rank outcomes as the runtime reported them, indexed by
+    /// world rank; a rank that completed carries its ring stats.
+    pub outcomes: Vec<RankOutcome<RingStats>>,
     /// Whether the run hung (logical-step budget exhausted).
     pub hung: bool,
     /// Whether the scheduler's own budget event fired (should track
@@ -614,7 +709,7 @@ pub struct Observation {
 impl Observation {
     /// Ranks that finished with ring stats.
     pub fn survivors(&self) -> impl Iterator<Item = (usize, &RingStats)> {
-        self.ring_stats.iter().enumerate().filter_map(|(r, s)| s.as_ref().map(|s| (r, s)))
+        self.outcomes.iter().enumerate().filter_map(|(r, o)| o.as_ok().map(|s| (r, s)))
     }
 
     /// World ranks named in the kill-set.
@@ -734,7 +829,7 @@ fn execute(
     spare: Option<Schedule>,
 ) -> Observation {
     // Measure the harness's own heap traffic on this thread (scheduler
-    // construction, plan fold, outcome flattening); the rank bodies'
+    // construction, plan fold, observation assembly); the rank bodies'
     // traffic arrives separately via `RunReport::alloc`.
     let alloc_before = allocstats::snapshot();
     let sched = Arc::new(Scheduler::new(
@@ -753,33 +848,6 @@ fn execute(
     let f = move |p: &mut ftmpi::Process| run_ring(p, WORLD, &ring);
     let report = pool.run(ucfg, f);
 
-    let mut outcomes = Vec::with_capacity(report.outcomes.len());
-    let mut ring_stats = Vec::with_capacity(report.outcomes.len());
-    for o in report.outcomes {
-        match o {
-            RankOutcome::Ok(s) => {
-                outcomes.push(Outcome::Ok);
-                ring_stats.push(Some(s));
-            }
-            RankOutcome::Failed => {
-                outcomes.push(Outcome::Failed);
-                ring_stats.push(None);
-            }
-            RankOutcome::Aborted { code } => {
-                outcomes.push(Outcome::Aborted(code));
-                ring_stats.push(None);
-            }
-            RankOutcome::Err(e) => {
-                outcomes.push(Outcome::Err(e.to_string()));
-                ring_stats.push(None);
-            }
-            RankOutcome::Panicked(m) => {
-                outcomes.push(Outcome::Panicked(m));
-                ring_stats.push(None);
-            }
-        }
-    }
-
     // The observation's schedule copy reuses a recycled buffer when
     // the caller provided one (§8.10: retention must not cost a fresh
     // clone per run).
@@ -790,8 +858,7 @@ fn execute(
     let mut obs = Observation {
         schedule: own_schedule,
         cfg: *cfg,
-        outcomes,
-        ring_stats,
+        outcomes: report.outcomes,
         hung: report.hung,
         budget_exhausted: sched.budget_exhausted(),
         trace: report.trace,

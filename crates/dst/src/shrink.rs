@@ -20,27 +20,19 @@ use crate::scenario::{Kill, Observation, Retention, ScenarioCfg, Schedule, SeedR
 
 /// One removable schedule event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ev {
+enum Ev {
     /// An injected fail-stop.
     Kill(Kill),
     /// A message delay at this drain-call index.
     Delay(u64),
 }
 
-impl std::fmt::Display for Ev {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Ev::Kill(k) => write!(f, "{k}"),
-            Ev::Delay(c) => write!(f, "delay drain-call {c}"),
-        }
-    }
-}
-
 /// Outcome of a shrink.
 #[derive(Debug)]
 pub struct Shrunk {
-    /// Locally minimal event set that still violates.
-    pub events: Vec<Ev>,
+    /// The locally minimal schedule that still violates: the seed with
+    /// the surviving kills and exactly the surviving delays as its mask.
+    pub schedule: Schedule,
     /// The violations the minimal schedule produces.
     pub violations: Vec<Violation>,
     /// The observation of the minimal schedule.
@@ -84,27 +76,45 @@ pub fn shrink(
     // explicit mask must still fail, otherwise the failure depends on
     // unmasked randomness and cannot be shrunk soundly.
     let first = runner.run_seed(seed, cfg, Retention::Full);
-
-    let mut runs = 0usize;
-    let mut test = |events: &[Ev]| -> (bool, Observation) {
-        runs += 1;
-        let obs = runner.run_schedule_with(&schedule_of(seed, events), cfg, Retention::Full);
-        (pred(&obs), obs)
-    };
-
-    let mut events: Vec<Ev> = first
+    let events: Vec<Ev> = first
         .schedule
         .kills
         .iter()
         .map(|k| Ev::Kill(*k))
         .chain(first.delay_calls.iter().map(|c| Ev::Delay(*c)))
         .collect();
-    let (still_fails, mut best_obs) = test(&events);
-    if !still_fails {
+
+    // `best` is the observation of the last candidate that failed —
+    // ddmin's current event set.
+    let mut runs = 0usize;
+    let mut best = None;
+    let mut fails = |events: &[Ev]| {
+        runs += 1;
+        let obs = runner.run_schedule_with(&schedule_of(seed, events), cfg, Retention::Full);
+        let failed = pred(&obs);
+        if failed {
+            best = Some(obs);
+        }
+        failed
+    };
+    if !fails(&events) {
         return None;
     }
+    let events = ddmin(events, fails);
 
-    // ddmin: try removing chunks at decreasing granularity.
+    let observation = best.expect("the full event set failed");
+    Some(Shrunk {
+        schedule: schedule_of(seed, &events),
+        violations: check_all(&observation),
+        observation,
+        runs,
+    })
+}
+
+/// ddmin over an event set for which `fails` holds: remove chunks at
+/// decreasing granularity, keeping any complement that still fails,
+/// until no single chunk can go. Returns a locally minimal subset.
+fn ddmin<T: Copy>(mut events: Vec<T>, mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut n = 2usize;
     while events.len() >= 2 {
         let chunk = events.len().div_ceil(n);
@@ -113,15 +123,10 @@ pub fn shrink(
         while start < events.len() {
             let end = (start + chunk).min(events.len());
             // Complement of events[start..end].
-            let candidate: Vec<Ev> = events[..start]
-                .iter()
-                .chain(events[end..].iter())
-                .copied()
-                .collect();
-            let (fails, obs) = test(&candidate);
-            if fails {
+            let candidate: Vec<T> =
+                events[..start].iter().chain(events[end..].iter()).copied().collect();
+            if fails(&candidate) {
                 events = candidate;
-                best_obs = obs;
                 n = n.saturating_sub(1).max(2);
                 reduced = true;
                 break;
@@ -135,53 +140,17 @@ pub fn shrink(
             n = (n * 2).min(events.len());
         }
     }
-
-    let violations = check_all(&best_obs);
-    Some(Shrunk { events, violations, observation: best_obs, runs })
+    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A synthetic predicate over event sets lets us test ddmin without
-    /// running universes: fail iff the set contains both markers.
-    fn ddmin_core(mut events: Vec<Ev>, pred: impl Fn(&[Ev]) -> bool) -> Vec<Ev> {
-        let mut n = 2usize;
-        while events.len() >= 2 {
-            let chunk = events.len().div_ceil(n);
-            let mut reduced = false;
-            let mut start = 0usize;
-            while start < events.len() {
-                let end = (start + chunk).min(events.len());
-                let candidate: Vec<Ev> = events[..start]
-                    .iter()
-                    .chain(events[end..].iter())
-                    .copied()
-                    .collect();
-                if pred(&candidate) {
-                    events = candidate;
-                    n = n.saturating_sub(1).max(2);
-                    reduced = true;
-                    break;
-                }
-                start = end;
-            }
-            if !reduced {
-                if n >= events.len() {
-                    break;
-                }
-                n = (n * 2).min(events.len());
-            }
-        }
-        events
-    }
-
     #[test]
     fn ddmin_isolates_the_two_culprits() {
-        let events: Vec<Ev> = (0..16).map(Ev::Delay).collect();
-        let culprits = [Ev::Delay(3), Ev::Delay(11)];
-        let minimal = ddmin_core(events, |set| culprits.iter().all(|c| set.contains(c)));
+        let culprits = [3u64, 11];
+        let minimal = ddmin((0..16).collect(), |set| culprits.iter().all(|c| set.contains(c)));
         assert_eq!(minimal.len(), 2);
         for c in &culprits {
             assert!(minimal.contains(c));
@@ -190,8 +159,7 @@ mod tests {
 
     #[test]
     fn ddmin_handles_single_culprit() {
-        let events: Vec<Ev> = (0..9).map(Ev::Delay).collect();
-        let minimal = ddmin_core(events, |set| set.contains(&Ev::Delay(5)));
-        assert_eq!(minimal, vec![Ev::Delay(5)]);
+        let minimal = ddmin((0..9u64).collect(), |set| set.contains(&5));
+        assert_eq!(minimal, vec![5]);
     }
 }

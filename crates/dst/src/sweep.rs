@@ -17,23 +17,27 @@
 //! independent of arrival order). A million-seed sweep therefore runs
 //! in O(max_failures) memory instead of O(seeds) observations-plus-logs.
 //!
-//! Failing seeds can be persisted as a corpus file
-//! ([`SweepReport::write_corpus`]) of one-line repros, optionally
+//! Failing seeds render as corpus lines ([`SweepReport::corpus_lines`],
+//! written by [`write_lines`]) of one-line repros, optionally
 //! ddmin-minimized first (`shrink_failures`), so a red CI run hands the
 //! developer `dst replay --seed 0x2d --buggy` instead of a log dump.
+//!
+//! The run bookkeeping both engines share — green/failing/hung counts,
+//! merged [`RunStats`], the exact coverage union — is one `Tally`, and
+//! one `judge` turns an observation into its failure fields; the fuzzer
+//! ([`crate::fuzz`](mod@crate::fuzz)) uses both.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use faultsim::{CoverageStats, RunStats};
 
-use crate::coverage::CoverageSet;
 use crate::oracle::check_all;
-use crate::scenario::{Observation, Retention, ScenarioCfg, SeedRunner};
+use crate::scenario::{KillShape, Observation, Retention, ScenarioCfg, Schedule, SeedRunner};
 use crate::shrink::shrink;
 
 /// Seeds claimed per cursor pull. Small enough that workers stay
@@ -90,8 +94,7 @@ impl Default for SweepCfg {
 }
 
 impl SweepCfg {
-    /// Reject degenerate sweep shapes. The one validation site for the
-    /// engine knobs, shared by [`sweep`] and [`SweepBuilder::build`].
+    /// Reject degenerate sweep shapes; [`sweep`] runs this first.
     pub fn validate(&self) -> Result<(), SweepError> {
         if self.count == 0 {
             return Err(SweepError::InvalidConfig("seed count must be at least 1".into()));
@@ -102,56 +105,6 @@ impl SweepCfg {
             .checked_add(self.count)
             .ok_or(SweepError::SeedRangeOverflow { start: self.start, count: self.count })?;
         Ok(())
-    }
-
-    /// Typed builder starting from the defaults; [`SweepBuilder::build`]
-    /// runs [`SweepCfg::validate`].
-    pub fn builder() -> SweepBuilder {
-        SweepBuilder { cfg: SweepCfg::default() }
-    }
-}
-
-/// Builder for [`SweepCfg`]; see [`SweepCfg::builder`].
-#[derive(Debug, Clone)]
-pub struct SweepBuilder {
-    cfg: SweepCfg,
-}
-
-impl SweepBuilder {
-    /// First seed (`--start`).
-    pub fn start(mut self, s: u64) -> Self {
-        self.cfg.start = s;
-        self
-    }
-
-    /// Seed count (`--seeds`).
-    pub fn count(mut self, n: u64) -> Self {
-        self.cfg.count = n;
-        self
-    }
-
-    /// Worker threads; 0 = auto (`--jobs`).
-    pub fn jobs(mut self, n: usize) -> Self {
-        self.cfg.jobs = n;
-        self
-    }
-
-    /// Failure-retention cap (`--max-failures`).
-    pub fn max_failures(mut self, n: usize) -> Self {
-        self.cfg.max_failures = n;
-        self
-    }
-
-    /// ddmin-minimize retained failures (`--shrink-failures`).
-    pub fn shrink_failures(mut self, on: bool) -> Self {
-        self.cfg.shrink_failures = on;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<SweepCfg, SweepError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -195,23 +148,33 @@ pub struct FailureSummary {
     pub oracles: Vec<String>,
     /// Full violation messages.
     pub violations: Vec<String>,
-    /// The seed-derived kill-set, rendered.
-    pub kills: Vec<String>,
     /// Whether the run hung (logical-step budget exhausted).
     pub hung: bool,
     /// One-line wait-for graph for hung runs (who waits on whom), from
     /// the hang triager; empty for non-hang failures. Computed from
     /// the quiet observation's trace — no re-run.
     pub triage: String,
-    /// Minimal event set from ddmin, when `shrink_failures` ran.
+    /// Minimal schedule from ddmin, when `shrink_failures` ran.
     pub shrunk: Option<ShrunkSummary>,
 }
 
-/// Rendered result of shrinking one failing seed.
+impl FailureSummary {
+    /// The schedule this failure reports: the ddmin-minimal one when
+    /// `shrink_failures` ran, else the one `seed` derives under
+    /// `scenario`.
+    pub fn schedule(&self, scenario: &ScenarioCfg) -> Schedule {
+        match &self.shrunk {
+            Some(s) => s.schedule.clone(),
+            None => Schedule::from_seed(self.seed, scenario),
+        }
+    }
+}
+
+/// Result of shrinking one failing seed.
 #[derive(Debug, Clone)]
 pub struct ShrunkSummary {
-    /// The locally minimal events, rendered one per entry.
-    pub events: Vec<String>,
+    /// The locally minimal schedule that still fails.
+    pub schedule: Schedule,
     /// Schedules the shrinker executed to get there.
     pub runs: usize,
 }
@@ -259,7 +222,7 @@ impl SweepReport {
     }
 
     /// Render the retained failures as one-line repros (plus a counted
-    /// overflow marker), ready for corpus writing or aggregation
+    /// overflow marker), ready for [`write_lines`] or aggregation
     /// across shapes.
     pub fn corpus_lines(&self, scenario: &ScenarioCfg) -> Vec<String> {
         let mut lines: Vec<String> =
@@ -273,69 +236,10 @@ impl SweepReport {
         }
         lines
     }
-
-    /// Write the failing seeds as a corpus of one-line repros. When
-    /// there are no failures the filesystem is untouched (CI uploads
-    /// the file exactly when it exists) and the summary reports zero
-    /// lines. Otherwise the returned [`CorpusWrite`] says where the
-    /// file went, how many repro lines it holds, and how many failing
-    /// seeds were beyond the retention cap (rendered as a trailing
-    /// comment marker, counted here so truncation is never silent).
-    pub fn write_corpus(
-        &self,
-        path: &Path,
-        scenario: &ScenarioCfg,
-    ) -> std::io::Result<CorpusWrite> {
-        let summary = CorpusWrite {
-            path: path.to_path_buf(),
-            lines: self.failures.len(),
-            overflow: self.dropped_failures,
-        };
-        if self.failures.is_empty() {
-            return Ok(summary);
-        }
-        write_lines(path, &self.corpus_lines(scenario))?;
-        Ok(summary)
-    }
 }
 
-/// What [`SweepReport::write_corpus`] did: where, how much, and what
-/// fell past the retention cap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusWrite {
-    /// Destination path (as given by the caller).
-    pub path: PathBuf,
-    /// Repro lines written. `0` means no failures — the file was not
-    /// created or touched.
-    pub lines: usize,
-    /// Failing seeds beyond the retention cap, counted in the file's
-    /// trailing overflow marker.
-    pub overflow: u64,
-}
-
-impl CorpusWrite {
-    /// Whether a file was actually created.
-    pub fn created(&self) -> bool {
-        self.lines > 0
-    }
-}
-
-impl std::fmt::Display for CorpusWrite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.created() {
-            return write!(f, "no failures; corpus {} not written", self.path.display());
-        }
-        write!(f, "wrote {} repro line(s) to {}", self.lines, self.path.display())?;
-        if self.overflow > 0 {
-            write!(f, " (+{} beyond the retention cap)", self.overflow)?;
-        }
-        Ok(())
-    }
-}
-
-/// Write pre-rendered corpus lines to `path` — the shared sink behind
-/// [`SweepReport::write_corpus`], [`crate::fuzz::FuzzReport::write_corpus`],
-/// and the CLI's cross-shape aggregation.
+/// Write pre-rendered corpus lines to `path` — the one corpus writer,
+/// for explore's failure corpus and fuzz's evolved corpus alike.
 pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     for line in lines {
@@ -344,150 +248,60 @@ pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     f.flush()
 }
 
-///// One line per failure: seed, verdict, schedule, and a paste-able
-/// repro command. Non-default kill shapes are carried both as a field
-/// (`shape=…`) and inside the repro command, so a corpus line from a
-/// `--shape all` sweep replays the exact same schedule family.
+/// One line per failure: the reported schedule, the verdict, and a
+/// paste-able repro command. Non-default kill shapes are carried both
+/// as a field (`shape=…`) and inside the repro command, so a corpus
+/// line from a `--shape all` sweep replays the exact same schedule
+/// family.
 fn corpus_line(fail: &FailureSummary, scenario: &ScenarioCfg) -> String {
-    let mut line = format!("seed={:#x} oracles={}", fail.seed, fail.oracles.join(","));
-    if scenario.shape != crate::scenario::KillShape::Pair {
+    let mut line =
+        format!("schedule {} oracles={}", fail.schedule(scenario), fail.oracles.join(","));
+    let shape = if scenario.shape == KillShape::Pair {
+        String::new()
+    } else {
         line.push_str(&format!(" shape={}", scenario.shape));
-    }
+        format!(" --shape {}", scenario.shape)
+    };
     if fail.hung {
         line.push_str(" hung");
     }
-    if !fail.kills.is_empty() {
-        line.push_str(&format!(" kills=[{}]", fail.kills.join("; ")));
-    }
-    if let Some(s) = &fail.shrunk {
-        line.push_str(&format!(" shrunk=[{}]", s.events.join("; ")));
+    if fail.shrunk.is_some() {
+        line.push_str(" shrunk");
     }
     if !fail.triage.is_empty() {
         line.push_str(&format!(" triage=[{}]", fail.triage));
     }
     line.push_str(&format!(
-        " repro=\"dst replay --seed {:#x} --ranks {} --iters {}{}{}\"",
+        " repro=\"dst replay --seed {:#x} --ranks {} --iters {}{shape}{}\"",
         fail.seed,
         scenario.ranks,
         scenario.max_iter,
-        if scenario.shape != crate::scenario::KillShape::Pair {
-            format!(" --shape {}", scenario.shape)
-        } else {
-            String::new()
-        },
         if scenario.buggy_dedup { " --buggy" } else { "" }
     ));
     line
 }
 
-/// The streaming aggregator workers fold verdicts into. This is the
-/// single merge/attribution site for the whole chain: per-run
-/// [`RunStats`] merge here, and the coverage union is tracked exactly
-/// (a `BTreeSet` of edge hashes — deterministic, order-independent)
-/// rather than by the disjoint-union approximation.
-pub(crate) struct Aggregate {
-    green: u64,
-    failing: u64,
-    hung: u64,
-    dropped: u64,
-    cap: usize,
-    failures: BTreeMap<u64, FailureSummary>,
-    stats: RunStats,
-    /// Union of every run's coverage edges.
-    edges: BTreeSet<u64>,
+/// The failure fields of one oracle-checked run, shared by the sweep's
+/// [`FailureSummary`] and the fuzzer's `FuzzFailure`.
+pub(crate) struct Judged {
+    /// Violated oracle names, deduplicated, in oracle order.
+    pub oracles: Vec<String>,
+    /// Full violation messages.
+    pub violations: Vec<String>,
+    /// Whether the run hung.
+    pub hung: bool,
+    /// One-line wait-for graph for hung runs, else empty.
+    pub triage: String,
 }
 
-impl Aggregate {
-    fn new(cap: usize) -> Self {
-        Aggregate {
-            green: 0,
-            failing: 0,
-            hung: 0,
-            dropped: 0,
-            cap,
-            failures: BTreeMap::new(),
-            stats: RunStats::default(),
-            edges: BTreeSet::new(),
-        }
-    }
-
-    /// The aggregated stats with `coverage` overwritten from the exact
-    /// edge union (signature = XOR over the union's members).
-    fn run_stats(&self) -> RunStats {
-        let mut stats = self.stats;
-        stats.coverage = CoverageStats {
-            edges: self.edges.len() as u64,
-            signature: self.edges.iter().fold(0, |d, e| d ^ e),
-        };
-        stats
-    }
-
-    fn record(&mut self, verdict: SeedVerdict) {
-        let SeedVerdict { hung, failure, stats, coverage } = verdict;
-        // `stats.coverage` folds as the approximation; `run_stats()`
-        // overwrites it from the exact union below.
-        self.stats.merge(&stats);
-        for e in coverage.iter() {
-            self.edges.insert(e);
-        }
-        if hung {
-            self.hung += 1;
-        }
-        match failure {
-            None => self.green += 1,
-            Some(f) => {
-                self.failing += 1;
-                self.failures.insert(f.seed, f);
-                if self.failures.len() > self.cap {
-                    // Evict the highest seed: the retained set is the
-                    // lowest `cap` failing seeds no matter which worker
-                    // found what first.
-                    let highest = *self.failures.keys().next_back().expect("non-empty");
-                    self.failures.remove(&highest);
-                    self.dropped += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The compact per-seed result a worker streams into the aggregator.
-pub(crate) struct SeedVerdict {
-    hung: bool,
-    failure: Option<FailureSummary>,
-    stats: RunStats,
-    /// The run's full edge set, moved out of the observation so the
-    /// aggregator can union exactly.
-    coverage: CoverageSet,
-}
-
-/// Run one seed and fold it into a verdict.
-///
-/// Seeds run **zero-retention** ([`Retention::Quiet`]): the scheduler
-/// never accumulates a decision log or delay list, because the oracles
-/// judge only the trace, outcomes, stats and hang flags. Nothing is
-/// lost: the summary carries the seed, and replay/shrinking re-run it
-/// with full recording — determinism makes the re-run the identical
-/// schedule, so the log is recoverable on demand instead of being paid
-/// for on every green seed.
-fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: &mut SeedRunner) -> SeedVerdict {
-    let mut obs = runner.run_seed(seed, scenario, Retention::Quiet);
-    let verdict = fold_verdict(seed, &mut obs);
-    // The observation's buffers go back to the runner: the next seed's
-    // schedule copy reuses them (§8.10).
-    runner.recycle(obs);
-    verdict
-}
-
-/// Judge one observation and compress it to the streaming verdict.
-/// Takes the observation by `&mut` so its coverage set can be moved
-/// out and the caller can recycle the remaining buffers.
-pub(crate) fn fold_verdict(seed: u64, obs: &mut Observation) -> SeedVerdict {
-    let stats = obs.stats;
-    let coverage = std::mem::replace(&mut obs.coverage, CoverageSet::empty());
+/// Oracle-check one observation: `None` when every applicable oracle
+/// is green, else the failure's fields. The trace survives
+/// [`Retention::Quiet`] precisely so that a hang is triaged here
+/// without re-running the schedule.
+pub(crate) fn judge(obs: &Observation) -> Option<Judged> {
     let violations = check_all(obs);
     if violations.is_empty() {
-        return SeedVerdict { hung: obs.hung, failure: None, stats, coverage };
+        return None;
     }
     let mut oracles: Vec<String> = Vec::new();
     for v in &violations {
@@ -495,18 +309,81 @@ pub(crate) fn fold_verdict(seed: u64, obs: &mut Observation) -> SeedVerdict {
             oracles.push(v.oracle.to_string());
         }
     }
-    let summary = FailureSummary {
-        seed,
+    Some(Judged {
         oracles,
         violations: violations.iter().map(|v| v.to_string()).collect(),
-        kills: obs.schedule.kills.iter().map(|k| k.to_string()).collect(),
         hung: obs.hung,
-        // The trace survives Retention::Quiet precisely so that a hang
-        // can be triaged here without re-running the seed.
         triage: if obs.hung { crate::triage::triage(obs).one_line() } else { String::new() },
-        shrunk: None,
-    };
-    SeedVerdict { hung: obs.hung, failure: Some(summary), stats, coverage }
+    })
+}
+
+/// The run bookkeeping of both engines: verdict counts, merged
+/// [`RunStats`], and the exact coverage union (a `BTreeSet` of edge
+/// hashes — deterministic and order-independent).
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Runs with every applicable oracle green.
+    pub green: u64,
+    /// Runs with at least one violation.
+    pub failing: u64,
+    /// Runs that hung (counted whether or not an oracle fired).
+    pub hung: u64,
+    stats: RunStats,
+    /// Union of every run's coverage edges.
+    pub edges: BTreeSet<u64>,
+}
+
+impl Tally {
+    /// Count one run; returns how many of its coverage edges no earlier
+    /// run touched (the fuzzer's novelty signal).
+    pub fn record(&mut self, obs: &Observation, failed: bool) -> u64 {
+        self.stats.merge(&obs.stats);
+        self.hung += u64::from(obs.hung);
+        if failed {
+            self.failing += 1;
+        } else {
+            self.green += 1;
+        }
+        obs.coverage.iter().filter(|&e| self.edges.insert(e)).count() as u64
+    }
+
+    /// Runs recorded so far.
+    pub fn runs(&self) -> u64 {
+        self.green + self.failing
+    }
+
+    /// The merged stats, `coverage` summarizing the exact edge union.
+    pub fn stats(&self) -> RunStats {
+        RunStats {
+            coverage: CoverageStats {
+                edges: self.edges.len() as u64,
+                signature: self.edges.iter().fold(0, |d, e| d ^ e),
+            },
+            ..self.stats
+        }
+    }
+}
+
+/// The sweep's aggregator: the shared [`Tally`] plus a failure map
+/// bounded to the lowest `cap` failing seeds.
+struct Aggregate {
+    tally: Tally,
+    cap: usize,
+    failures: BTreeMap<u64, FailureSummary>,
+    dropped: u64,
+}
+
+impl Aggregate {
+    /// Retain `fail`, evicting the highest seed past the cap: the
+    /// retained set is the lowest `cap` failing seeds no matter which
+    /// worker found what first.
+    fn keep(&mut self, fail: FailureSummary) {
+        self.failures.insert(fail.seed, fail);
+        if self.failures.len() > self.cap {
+            self.failures.pop_last();
+            self.dropped += 1;
+        }
+    }
 }
 
 /// Sweep `cfg.count` seeds from `cfg.start` over a worker pool and
@@ -528,7 +405,12 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     // seeds, so claiming a chunk can never overflow even at the top of
     // the u64 seed space.
     let cursor = AtomicU64::new(0);
-    let agg = Mutex::new(Aggregate::new(cfg.max_failures.max(1)));
+    let agg = Mutex::new(Aggregate {
+        tally: Tally::default(),
+        cap: cfg.max_failures.max(1),
+        failures: BTreeMap::new(),
+        dropped: 0,
+    });
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -551,8 +433,32 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
                     };
                     let end = begin.saturating_add(CHUNK).min(cfg.count);
                     for off in begin..end {
-                        let verdict = verdict_of(cfg.start + off, scenario, &mut runner);
-                        agg.lock().unwrap().record(verdict);
+                        let seed = cfg.start + off;
+                        // Seeds run zero-retention: the oracles judge
+                        // only the trace, outcomes, stats and hang
+                        // flags, and replay or shrinking re-runs a
+                        // failing seed with full recording —
+                        // determinism makes it the identical schedule.
+                        let obs = runner.run_seed(seed, scenario, Retention::Quiet);
+                        let failure = judge(&obs).map(|j| FailureSummary {
+                            seed,
+                            oracles: j.oracles,
+                            violations: j.violations,
+                            hung: j.hung,
+                            triage: j.triage,
+                            shrunk: None,
+                        });
+                        {
+                            let mut agg = agg.lock().unwrap();
+                            agg.tally.record(&obs, failure.is_some());
+                            if let Some(f) = failure {
+                                agg.keep(f);
+                            }
+                        }
+                        // The observation's buffers go back to the
+                        // runner: the next seed's schedule copy reuses
+                        // them (§8.10).
+                        runner.recycle(obs);
                     }
                 }
             });
@@ -565,10 +471,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
         // no minimization effort is wasted on seeds that get evicted.
         for fail in agg.failures.values_mut() {
             if let Some(s) = shrink(fail.seed, scenario, None) {
-                fail.shrunk = Some(ShrunkSummary {
-                    events: s.events.iter().map(|e| e.to_string()).collect(),
-                    runs: s.runs,
-                });
+                fail.shrunk = Some(ShrunkSummary { schedule: s.schedule, runs: s.runs });
             }
         }
     }
@@ -577,10 +480,10 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
         start: cfg.start,
         count: cfg.count,
         jobs,
-        green: agg.green,
-        failing: agg.failing,
-        hung: agg.hung,
-        stats: agg.run_stats(),
+        green: agg.tally.green,
+        failing: agg.tally.failing,
+        hung: agg.tally.hung,
+        stats: agg.tally.stats(),
         failures: agg.failures,
         dropped_failures: agg.dropped,
         elapsed: begun.elapsed(),
@@ -590,6 +493,8 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Kill;
+    use faultsim::HookKind;
 
     #[test]
     fn overflowing_range_is_rejected_cleanly() {
@@ -619,68 +524,50 @@ mod tests {
             seed,
             oracles: vec!["x".into()],
             violations: vec![],
-            kills: vec![],
             hung: false,
             triage: String::new(),
             shrunk: None,
         };
-        let verdict = |seed| SeedVerdict {
-            hung: false,
-            failure: Some(fail(seed)),
-            stats: RunStats::default(),
-            coverage: CoverageSet::empty(),
+        let new = || Aggregate {
+            tally: Tally::default(),
+            cap: 2,
+            failures: BTreeMap::new(),
+            dropped: 0,
         };
-        let mut a = Aggregate::new(2);
-        let mut b = Aggregate::new(2);
+        let mut a = new();
+        let mut b = new();
         for s in [9u64, 3, 7, 1] {
-            a.record(verdict(s));
+            a.keep(fail(s));
         }
         for s in [1u64, 7, 3, 9] {
-            b.record(verdict(s));
+            b.keep(fail(s));
         }
         let keys = |agg: &Aggregate| agg.failures.keys().copied().collect::<Vec<_>>();
         assert_eq!(keys(&a), vec![1, 3]);
         assert_eq!(keys(&a), keys(&b));
         assert_eq!(a.dropped, 2);
-        assert_eq!(a.failing, 4);
     }
 
-    /// The aggregator's coverage is the exact union, not the summed
-    /// approximation: overlapping runs must not double-count edges or
-    /// cancel signatures.
+    /// The tally's coverage is the exact union, not a summed
+    /// approximation: a repeated run adds no edges and does not cancel
+    /// the signature, and `record` reports exactly the new edges.
     #[test]
     fn aggregate_coverage_is_the_exact_union() {
-        let mk = |edges: &[u64]| {
-            let mut c = CoverageSet::new();
-            for &e in edges {
-                c.insert(e);
-            }
-            SeedVerdict {
-                hung: false,
-                failure: None,
-                stats: RunStats { coverage: c.stats(), ..Default::default() },
-                coverage: c,
-            }
-        };
-        let mut agg = Aggregate::new(4);
-        agg.record(mk(&[10, 20]));
-        agg.record(mk(&[20, 30]));
-        agg.record(mk(&[10, 20]));
-        let stats = agg.run_stats();
-        assert_eq!(stats.coverage.edges, 3);
-        assert_eq!(stats.coverage.signature, 10 ^ 20 ^ 30);
-        assert_eq!(agg.green, 3);
-    }
-
-    #[test]
-    fn sweep_builder_validates_in_one_place() {
-        assert!(SweepCfg::builder().count(0).build().is_err());
-        assert!(matches!(
-            SweepCfg::builder().start(u64::MAX).count(2).build(),
-            Err(SweepError::SeedRangeOverflow { .. })
-        ));
-        let cfg = SweepCfg::builder().start(5).count(10).jobs(2).build().unwrap();
-        assert_eq!((cfg.start, cfg.count, cfg.jobs), (5, 10, 2));
+        let cfg = ScenarioCfg::default();
+        let mut runner = SeedRunner::new(cfg.ranks);
+        let mut tally = Tally::default();
+        let mut union = BTreeSet::new();
+        for seed in [1u64, 2, 3, 1] {
+            let obs = runner.run_seed(seed, &cfg, Retention::Quiet);
+            let fresh: Vec<u64> = obs.coverage.iter().filter(|e| !union.contains(e)).collect();
+            union.extend(obs.coverage.iter());
+            assert_eq!(tally.record(&obs, false), fresh.len() as u64, "seed {seed}");
+        }
+        let stats = tally.stats();
+        assert_eq!(stats.coverage.edges, union.len() as u64);
+        assert_eq!(stats.coverage.signature, union.iter().fold(0, |d, e| d ^ e));
+        assert_ne!(stats.coverage.signature, 0);
+        assert_eq!((tally.green, tally.failing, tally.runs()), (4, 0, 4));
     }
 
     /// The rank-thread bound on a 2-core host, an explicit `--jobs`
@@ -700,18 +587,22 @@ mod tests {
 
     #[test]
     fn corpus_line_carries_a_usable_repro() {
+        let minimal = Schedule {
+            seed: 0x2d,
+            kills: vec![Kill { victim: 2, hook: HookKind::AfterSend, occurrence: 1 }],
+            delay_mask: Some(vec![]),
+        };
         let fail = FailureSummary {
             seed: 0x2d,
             oracles: vec!["no-duplicate".into()],
             violations: vec!["dup".into()],
-            kills: vec!["kill 2 at AfterSend#1".into()],
             hung: false,
             triage: "rank 3 waits on T_N from rank 2 (DEAD)".into(),
-            shrunk: Some(ShrunkSummary { events: vec!["kill 2 at AfterSend#1".into()], runs: 3 }),
+            shrunk: Some(ShrunkSummary { schedule: minimal, runs: 3 }),
         };
         let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
         let line = corpus_line(&fail, &cfg);
-        assert!(line.contains("seed=0x2d"));
+        assert!(line.starts_with("schedule seed=0x2d kills=[2:AfterSend:1] mask=[] "), "{line}");
         assert!(line.contains("oracles=no-duplicate"));
         assert!(line.contains("triage=[rank 3 waits on T_N from rank 2 (DEAD)]"));
         assert!(line.contains("--buggy"));

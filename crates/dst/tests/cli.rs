@@ -5,6 +5,9 @@
 
 use std::process::{Command, Output};
 
+use dst::fuzz::FuzzFailure;
+use dst::{shrink, FuzzCfg, KillShape, Retention, ScenarioCfg, Schedule, SeedRunner};
+
 fn dst(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dst"))
         .args(args)
@@ -148,7 +151,9 @@ fn fuzz_flag_gating() {
 
 /// A malformed corpus is a clean error citing `path:line` (exit 1),
 /// never a panic (exit 101) — occurrence 0 used to reach the 1-based
-/// kill trigger and panic the campaign.
+/// kill trigger and panic the campaign — and never a silent skip: a
+/// line that is not a schedule line is an error too. The file is left
+/// as it was.
 #[test]
 fn fuzz_rejects_a_malformed_corpus_without_panicking() {
     let tmp = std::env::temp_dir();
@@ -156,6 +161,7 @@ fn fuzz_rejects_a_malformed_corpus_without_panicking() {
         "schedule seed=0x1 kills=[1:Tick:0]",
         "schedule seed=0x1 kills=[1:Tick",
         "schedule seed=0x1 kills=[7:Tick:2]",
+        "seed=0x2 oracles=no-duplicate kills=[kill 3 at AfterSend#1]",
     ]
     .iter()
     .enumerate()
@@ -163,8 +169,10 @@ fn fuzz_rejects_a_malformed_corpus_without_panicking() {
         let path = tmp.join(format!("dst_cli_malformed_{}_{i}.corpus", std::process::id()));
         std::fs::write(&path, format!("{line}\n")).unwrap();
         let out = dst(&["fuzz", "--budget", "10", "--corpus", path.to_str().unwrap()]);
+        let after = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(out.status.code(), Some(1), "{line}: {}", stderr(&out));
+        assert_eq!(after, format!("{line}\n"), "the rejected corpus was overwritten");
         let err = stderr(&out);
         assert!(
             err.contains(&format!("{}:1: ", path.display())),
@@ -211,9 +219,8 @@ fn fuzz_cli_is_deterministic_across_invocations() {
     assert!(a.starts_with("# dst fuzz corpus v1"), "corpus header missing: {a}");
 }
 
-/// An explore sweep's `--corpus` output goes through the shared
-/// `CorpusWrite` summary: clean runs say so without touching the
-/// filesystem; failing runs report the line count.
+/// An explore sweep's `--corpus` summary: clean runs say so without
+/// touching the filesystem; failing runs report the line count.
 #[test]
 fn explore_corpus_write_summary() {
     let tmp = std::env::temp_dir();
@@ -234,4 +241,77 @@ fn explore_corpus_write_summary() {
     );
     assert!(failing.exists());
     let _ = std::fs::remove_file(&failing);
+}
+
+/// An explore corpus is a fuzz corpus: `dst fuzz` loads every line a
+/// failing explore sweep wrote (shrunk schedules included) and replays
+/// each before seeding. The hardened ring has no dedup defect, so the
+/// replays are green.
+#[test]
+fn fuzz_loads_every_line_of_an_explore_corpus() {
+    let path = std::env::temp_dir()
+        .join(format!("dst_cli_explore_to_fuzz_{}.corpus", std::process::id()));
+    let corpus = path.to_str().unwrap();
+    let out =
+        dst(&["explore", "--seeds", "40", "--buggy", "--shrink-failures", "--corpus", corpus]);
+    assert_eq!(out.status.code(), Some(1), "the buggy sweep found nothing: {}", stdout(&out));
+    let n = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert!(n > 0);
+    let out = dst(&["fuzz", "--corpus", corpus, "--budget", &n.to_string()]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "fuzz failed: {}{}", stdout(&out), stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains(&format!("fuzzed {n} schedules (seed 0x0: 0 seeded,")), "{text}");
+}
+
+/// The schedule lines `replay`, `shrink` and `explore` print parse back
+/// to the schedule that ran.
+#[test]
+fn printed_schedule_lines_parse_back() {
+    let schedule_line = |out: &Output| {
+        let text = stdout(out);
+        let line = text.lines().find(|l| l.trim_start().starts_with("schedule "));
+        Schedule::parse(line.expect("a schedule line"), 4).unwrap()
+    };
+    let buggy = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+    let ran = SeedRunner::new(4).run_seed(0x2f, &buggy, Retention::Full).schedule;
+    assert_eq!(schedule_line(&dst(&["replay", "--seed", "0x2f", "--buggy"])), ran);
+
+    let minimal = shrink(0x2f, &buggy, None).unwrap().observation.schedule;
+    assert_eq!(schedule_line(&dst(&["shrink", "--seed", "0x2f", "--buggy"])), minimal);
+    let explore =
+        dst(&["explore", "--seeds", "1", "--start", "0x2f", "--buggy", "--shrink-failures"]);
+    assert_eq!(schedule_line(&explore), minimal);
+
+    let masked = ScenarioCfg { shape: KillShape::Masked, ..ScenarioCfg::default() };
+    let ran = SeedRunner::new(4).run_seed(3, &masked, Retention::Full).schedule;
+    assert!(ran.delay_mask.is_some());
+    assert_eq!(schedule_line(&dst(&["replay", "--seed", "3", "--shape", "masked"])), ran);
+}
+
+/// A fuzz failure line's `repro=` command, run on a file holding that
+/// line, replays exactly that one schedule: one run, nothing seeded.
+#[test]
+fn fuzz_failure_repro_runs_exactly_that_schedule() {
+    let scenario = ScenarioCfg::default();
+    let fail = FuzzFailure {
+        schedule: Schedule::from_seed(3, &ScenarioCfg { shape: KillShape::Masked, ..scenario }),
+        oracles: vec!["ring-completion".into()],
+        violations: Vec::new(),
+        hung: false,
+        triage: String::new(),
+    };
+    let line = fail.line(&FuzzCfg { seed: 0x77, ..FuzzCfg::default() }, &scenario);
+    assert!(line.contains(" campaign=0x77 "), "{line}");
+    let path =
+        std::env::temp_dir().join(format!("dst_cli_fuzz_repro_{}.corpus", std::process::id()));
+    std::fs::write(&path, format!("{line}\n")).unwrap();
+    let repro = line.split("repro=\"").nth(1).unwrap().trim_end_matches('"');
+    let repro = repro.replace("<file holding this line>", path.to_str().unwrap());
+    let argv: Vec<&str> = repro.split_whitespace().collect();
+    assert_eq!(argv[..2], ["dst", "fuzz"]);
+    let out = dst(&argv[1..]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
+    assert!(stdout(&out).contains("fuzzed 1 schedules (seed 0x0: 0 seeded,"), "{}", stdout(&out));
 }

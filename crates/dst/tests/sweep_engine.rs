@@ -40,7 +40,7 @@ fn parallel_equals_serial_verdicts() {
 
 /// A known-failing buggy seed (0x2d, pinned by the lib tests) is
 /// reported identically under both worker counts, down to the rendered
-/// kill schedule and violation text.
+/// corpus line and violation text.
 #[test]
 fn known_failing_seed_is_reported_identically() {
     let scenario = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
@@ -54,8 +54,8 @@ fn known_failing_seed_is_reported_identically() {
     assert!(a.oracles.iter().any(|o| o == "no-duplicate"));
     assert_eq!(a.oracles, b.oracles);
     assert_eq!(a.violations, b.violations);
-    assert_eq!(a.kills, b.kills);
     assert_eq!(a.hung, b.hung);
+    assert_eq!(serial.corpus_lines(&scenario), parallel.corpus_lines(&scenario));
 }
 
 /// The sweep matches the serial `explore` reference implementation
@@ -119,8 +119,8 @@ fn large_failing_sweep_keeps_a_bounded_failure_list() {
         == report.dropped_failures);
 }
 
-/// Shrunk corpus entries reproduce: every retained failure gets a
-/// minimal event list attached when `shrink_failures` is on.
+/// Every retained failure gets a minimal schedule of its own seed
+/// attached when `shrink_failures` is on.
 #[test]
 fn shrink_failures_attaches_minimal_events() {
     let scenario = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
@@ -129,47 +129,35 @@ fn shrink_failures_attaches_minimal_events() {
     assert!(!report.failures.is_empty());
     for f in report.failures.values() {
         let s = f.shrunk.as_ref().expect("every retained failure is shrunk");
-        assert!(!s.events.is_empty());
+        assert_eq!(s.schedule.seed, f.seed);
+        assert!(!s.schedule.kills.is_empty());
+        assert!(s.schedule.delay_mask.is_some(), "a shrunk schedule pins its delays");
         assert!(s.runs >= 1);
     }
 }
 
-/// Corpus file round-trip: written only when non-empty, one line per
-/// failing seed, each carrying a repro command.
+/// Corpus lines: one per retained failure, each a schedule line with a
+/// repro command, plus a counted `#` marker for failures past the cap.
 #[test]
-fn corpus_file_is_written_only_when_failures_exist() {
-    let dir = std::env::temp_dir().join(format!("dst-sweep-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Hardened range with no failures: no file.
-    let scenario = ScenarioCfg::default();
-    let cfg = SweepCfg { start: 0, count: 10, jobs: 2, ..SweepCfg::default() };
-    let green = sweep(&cfg, &scenario).unwrap();
-    assert_eq!(green.failing, 0);
-    let empty_path = dir.join("green.corpus");
-    let no_write = green.write_corpus(&empty_path, &scenario).unwrap();
-    assert!(!no_write.created());
-    assert_eq!(no_write.lines, 0);
-    assert!(format!("{no_write}").contains("not written"));
-    assert!(!empty_path.exists());
-
-    // Buggy range: file exists, one line per retained failure.
+fn corpus_lines_carry_one_repro_per_failure() {
     let buggy = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
     let cfg = SweepCfg { start: 0x2d, count: 1, jobs: 1, ..SweepCfg::default() };
     let report = sweep(&cfg, &buggy).unwrap();
-    let path = dir.join("fail.corpus");
-    let wrote = report.write_corpus(&path, &buggy).unwrap();
-    assert!(wrote.created());
-    assert_eq!(wrote.lines, report.failures.len());
-    assert_eq!(wrote.overflow, report.dropped_failures);
-    assert_eq!(wrote.path, path);
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(text.lines().count(), report.failures.len());
-    assert!(text.contains("seed=0x2d"));
-    assert!(text.contains("repro=\"dst replay --seed 0x2d"));
-    assert!(text.contains("--buggy"));
+    let lines = report.corpus_lines(&buggy);
+    assert_eq!(lines.len(), report.failures.len());
+    assert!(lines[0].starts_with("schedule seed=0x2d kills=["), "{}", lines[0]);
+    assert!(lines[0].contains("repro=\"dst replay --seed 0x2d"));
+    assert!(lines[0].contains("--buggy"));
 
-    std::fs::remove_dir_all(&dir).ok();
+    let cfg = SweepCfg { start: 0, count: 40, jobs: 2, max_failures: 4, ..SweepCfg::default() };
+    let report = sweep(&cfg, &buggy).unwrap();
+    assert!(report.dropped_failures > 0);
+    let lines = report.corpus_lines(&buggy);
+    assert_eq!(lines.len(), 5);
+    assert_eq!(
+        lines[4],
+        format!("# +{} more failing seed(s) beyond --max-failures 4", report.dropped_failures)
+    );
 }
 
 /// Range and config validation: overflow and degenerate configs are

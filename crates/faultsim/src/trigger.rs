@@ -32,6 +32,41 @@ pub enum HookKind {
     Tick,
 }
 
+impl HookKind {
+    /// Every hook kind, in declaration order.
+    const ALL: [HookKind; 9] = [
+        HookKind::BeforeSend,
+        HookKind::AfterSend,
+        HookKind::BeforeRecvPost,
+        HookKind::AfterRecvComplete,
+        HookKind::BeforeCollective,
+        HookKind::AfterCollective,
+        HookKind::BeforeValidate,
+        HookKind::AfterValidate,
+        HookKind::Tick,
+    ];
+
+    /// Stable name, as written in schedule lines (`2:AfterSend:3`).
+    pub fn name(self) -> &'static str {
+        match self {
+            HookKind::BeforeSend => "BeforeSend",
+            HookKind::AfterSend => "AfterSend",
+            HookKind::BeforeRecvPost => "BeforeRecvPost",
+            HookKind::AfterRecvComplete => "AfterRecvComplete",
+            HookKind::BeforeCollective => "BeforeCollective",
+            HookKind::AfterCollective => "AfterCollective",
+            HookKind::BeforeValidate => "BeforeValidate",
+            HookKind::AfterValidate => "AfterValidate",
+            HookKind::Tick => "Tick",
+        }
+    }
+
+    /// Parse a name (the inverse of [`HookKind::name`]).
+    pub fn from_name(s: &str) -> Option<HookKind> {
+        HookKind::ALL.into_iter().find(|h| h.name() == s)
+    }
+}
+
 /// A fully-parameterised protocol point observed at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hook {
@@ -189,6 +224,15 @@ mod tests {
     #[should_panic]
     fn zero_occurrence_rejected() {
         let _ = Trigger::on(HookKind::Tick).nth(0);
+    }
+
+    #[test]
+    fn hook_names_round_trip() {
+        for h in HookKind::ALL {
+            assert_eq!(HookKind::from_name(h.name()), Some(h));
+            assert_eq!(h.name(), format!("{h:?}"));
+        }
+        assert_eq!(HookKind::from_name("Bogus"), None);
     }
 
     #[test]

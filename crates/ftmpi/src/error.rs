@@ -106,7 +106,7 @@ pub enum ErrorHandler {
     ErrorsReturn,
 }
 
-/// Outcome of one rank's closure in [`crate::Universe::run`].
+/// Outcome of one rank's closure in [`crate::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RankOutcome<T> {
     /// The closure returned normally.
