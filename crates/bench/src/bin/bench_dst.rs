@@ -3,15 +3,19 @@
 //! This binary emits a machine-readable record of schedules/sec for the
 //! series the roadmap tracks — `explore/{4,8}`
 //! (serial per-seed cost), `explore_shape/<shape>` (per-kill-shape cost
-//! of the taxonomy sweeps, DESIGN.md §8.8) and `sweep_jobs/{1,8}` (the
+//! of the taxonomy sweeps, DESIGN.md §8.8) and `sweep_jobs/{1,2}` (the
 //! parallel engine) — so the perf trajectory is a committed artifact,
 //! not folklore in PR descriptions. The `allocs_per_schedule/{4,8}`
 //! series records steady-state heap allocations per schedule
 //! (DESIGN.md §8.10) — deterministic and lower-is-better, gated
 //! tightly by `scripts/bench_gate.py`.
 //!
-//! Every series reuses one persistent rank-executor pool
-//! (`SeedRunner`) across schedules, as `dst explore` does.
+//! Every series reuses one persistent `SeedRunner` (fiber stacks and
+//! universe state) across schedules, as `dst explore` does.
+//!
+//! The record is stamped with the host (`cores`, `arch`) and the build
+//! profile: rates measured on different hosts are not comparable, and
+//! `scripts/bench_gate.py` gates them only when the hosts match.
 //!
 //! Usage:
 //!
@@ -114,7 +118,7 @@ fn main() {
     }
 
     // Per-shape serial cost at 4 ranks (kill-shape taxonomy, DESIGN.md
-    // §8.8): the pooled inner loop of `dst explore --shape <name>`.
+    // §8.8): the inner loop of `dst explore --shape <name>`.
     // Shapes derive different kill counts (pair 0–2 kills, the triple
     // family 3), so per-shape rates are expected to differ — the point
     // of the series is that each shape's cost is tracked, not equal.
@@ -144,7 +148,7 @@ fn main() {
     }
 
     // Steady-state allocation cost (DESIGN.md §8.10): mean heap
-    // allocations per schedule on the pooled quiet path — rank job
+    // allocations per schedule on the reused-runner quiet path — rank
     // bodies plus harness work, as counted by the `allocstats` global
     // allocator — after a full warm-up pass over the same window. The
     // number is deterministic (the same seeds always allocate the same
@@ -187,10 +191,12 @@ fn main() {
         });
     }
 
-    // The parallel engine at the tracked worker counts.
+    // The parallel engine at one and two workers: each worker is one
+    // thread, so on a host with two or more cores the pair shows how
+    // the sweep scales with cores.
     const SWEEP_BATCH: u64 = 64;
     let cfg = ScenarioCfg::default();
-    for jobs in [1usize, 8] {
+    for jobs in [1usize, 2] {
         let (rate, batches, schedules, elapsed) = measure(SWEEP_BATCH, window, |round| {
             let sweep_cfg = SweepCfg {
                 // Wrap the 64-seed window inside the validated space.
@@ -215,6 +221,13 @@ fn main() {
     json.push_str("  \"bench\": \"schedules_per_sec\",\n");
     json.push_str("  \"unit\": \"schedules/sec\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    json.push_str(&format!("  \"profile\": \"{profile}\",\n"));
+    // The host the rates were measured on: `bench_gate.py` compares
+    // rates only between records of the same host.
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let arch = std::env::consts::ARCH;
+    json.push_str(&format!("  \"host\": {{ \"cores\": {cores}, \"arch\": \"{arch}\" }},\n"));
     // The seed windows the series wrap inside. Rates are only
     // comparable across runs measured on the same window: widening it
     // changes the workload mix (see EXPERIMENTS.md, explore/8 triage),

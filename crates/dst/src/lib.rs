@@ -75,9 +75,9 @@ pub fn explore(start: u64, count: u64, cfg: &ScenarioCfg) -> Result<Vec<SeedResu
     let end = start
         .checked_add(count)
         .ok_or(SweepError::SeedRangeOverflow { start, count })?;
-    // One persistent executor pool for the whole range: seeds run
-    // back-to-back on the same rank threads (observations are identical
-    // to a fresh runner's; the golden-log suite pins this).
+    // One persistent runner for the whole range: seeds run back-to-back
+    // on the same fiber stacks (observations are identical to a fresh
+    // runner's; the golden-log suite pins this).
     let mut runner = SeedRunner::new(cfg.ranks);
     Ok((start..end)
         .map(|seed| {

@@ -12,17 +12,16 @@
 //! ```
 //!
 //! `explore` fans the sweep out over worker threads, each running its
-//! seeds on a persistent rank-executor pool. Workers default to
-//! `max(12 × cores, 48) / ranks`, so `workers × ranks` stays within
-//! that rank-thread budget; an explicit `--jobs N` is capped at the
-//! same bound. Per-seed verdicts are identical whatever the worker
+//! seeds' universes on its own thread, every rank a fiber. Workers
+//! default to one per core; an explicit `--jobs N` is capped only by
+//! the seed count. Per-seed verdicts are identical whatever the worker
 //! count, because determinism lives inside each seed's self-contained
 //! simulation. Failing seeds can be written to a `--corpus` file as
 //! one-line repros, ddmin-minimized first with `--shrink-failures`.
 //!
 //! `--stats` appends the scheduler's handoff counters (steps, grants,
-//! self-grants, parks) plus allocation and coverage totals to the
-//! explore summary.
+//! self-grants) plus allocation and coverage totals to the explore
+//! summary.
 //!
 //! `--shape` selects a kill-shape family from the DESIGN.md §8.8
 //! taxonomy (`pair`, `triple`, `root-chain`, `cascade`, `validate`,
@@ -50,8 +49,8 @@ use dst::{
 };
 use ftmpi::RankOutcome;
 
-/// Largest world size the CLI accepts: every rank is a live executor
-/// thread, so values beyond this are typos, not experiments.
+/// Largest world size the CLI accepts: every rank is a fiber with its
+/// own stack mapping, so values beyond this are typos, not experiments.
 const MAX_RANKS: u64 = 256;
 /// Worker-thread cap; sweeps beyond per-core parallelism only add
 /// contention.
@@ -432,15 +431,8 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
 fn print_stats(stats: &dst::RunStats, runs: u64, tag: &str) {
     let h = &stats.handoff;
     println!(
-        "stats {tag}: {} steps, {} grants ({} self, {} pre-park), \
-         {} parks, {} unparks, {} park-safety timeouts",
-        h.steps,
-        h.grants,
-        h.self_grants,
-        h.prepark_grants,
-        h.parks,
-        h.unparks,
-        h.park_safety_timeouts
+        "stats {tag}: {} steps, {} grants ({} self), {} park-safety timeouts",
+        h.steps, h.grants, h.self_grants, h.park_safety_timeouts
     );
     let a = &stats.alloc;
     println!(
@@ -568,7 +560,7 @@ fn cmd_determinism(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
     let cfg = cfg_of(args, one_shape(args))?;
     // The second run reuses the first one's runner, so this also checks
-    // that the pool's reset leaves nothing behind.
+    // that the executor's reset leaves nothing behind.
     let mut runner = SeedRunner::new(cfg.ranks);
     let a = runner.run_seed(seed, &cfg, Retention::Full);
     let b = runner.run_seed(seed, &cfg, Retention::Full);

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use faultsim::{FaultPlan, HookKind, RunStats};
-use ftmpi::{RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
+use ftmpi::{RankOutcome, SimConfig, SimExecutor, TimedEvent, WORLD};
 use ftring::{run_ring, RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
@@ -694,11 +694,11 @@ pub struct Observation {
     pub delay_calls: Vec<u64>,
     /// Every per-run statistic on one surface ([`faultsim::RunStats`]):
     /// handoff counters, the coverage summary, and heap-allocation
-    /// counters for the whole schedule — the rank job bodies
-    /// ([`ftmpi::RunReport::stats`]) plus the harness's own work on the
-    /// calling thread (schedule derivation, scheduler construction,
-    /// observation assembly), counted by the
-    /// [`allocstats::StatsAlloc`] global allocator this crate installs.
+    /// counters for the whole schedule — the rank bodies, which run as
+    /// fibers on the calling thread, plus the harness's own work there
+    /// (schedule derivation, scheduler construction, observation
+    /// assembly), counted by the [`allocstats::StatsAlloc`] global
+    /// allocator this crate installs.
     pub stats: RunStats,
     /// The run's full coverage-edge set (summarized by
     /// `stats.coverage`), harvested from the scheduler — the fuzzer's
@@ -732,19 +732,19 @@ pub enum Retention {
     Quiet,
 }
 
-/// The schedule executor: one persistent [`UniversePool`] at a fixed
-/// rank count, running schedules back-to-back without per-run thread
-/// spawns or universe-state reallocation. It is the only way to run a
-/// schedule.
+/// The schedule executor: one persistent [`SimExecutor`] at a fixed
+/// rank count, running schedules back-to-back on the calling thread —
+/// every rank a fiber, no OS thread spawned — without per-run
+/// universe-state reallocation. It is the only way to run a schedule.
 ///
 /// The observation for any schedule is **byte-identical** whether the
-/// runner is fresh or has run other schedules before — the scheduler's
-/// dispatch barrier serializes ranks regardless of how their threads
-/// came to life, and the pool's reset protocol rewinds all shared
-/// state (the golden-log suite pins both). The sweep engine holds one
-/// runner per worker.
+/// runner is fresh or has run other schedules before — ranks start in
+/// rank order and every later switch is the scheduler's decision, and
+/// the executor's reset protocol rewinds all shared state (the
+/// golden-log suite pins both). The sweep engine holds one runner per
+/// worker.
 pub struct SeedRunner {
-    pool: UniversePool,
+    exec: SimExecutor,
     /// Scratch schedule reused across [`SeedRunner::run_seed`] calls:
     /// [`Schedule::from_seed_into`] rewrites it in place, so the
     /// kill/mask vectors warm up once and steady-state derivation
@@ -762,15 +762,15 @@ impl SeedRunner {
     /// A runner for universes of `ranks` ranks.
     pub fn new(ranks: usize) -> Self {
         SeedRunner {
-            pool: UniversePool::new(ranks),
+            exec: SimExecutor::new(ranks),
             derive: Schedule { seed: 0, kills: Vec::new(), delay_mask: None },
             spares: Vec::new(),
         }
     }
 
-    /// The rank count this runner's pool was built for.
+    /// The rank count this runner's executor was built for.
     pub fn ranks(&self) -> usize {
-        self.pool.size()
+        self.exec.size()
     }
 
     /// Return an observation's buffers to the runner once its verdict
@@ -791,7 +791,7 @@ impl SeedRunner {
     ) -> Observation {
         self.check_ranks(cfg);
         let spare = self.spares.pop();
-        execute(&mut self.pool, schedule, cfg, retention, spare)
+        execute(&mut self.exec, schedule, cfg, retention, spare)
     }
 
     /// Derive the schedule for `seed` into the runner's scratch
@@ -804,7 +804,7 @@ impl SeedRunner {
         Schedule::from_seed_into(seed, cfg, &mut self.derive);
         let derive = allocstats::snapshot().since(&before);
         let spare = self.spares.pop();
-        let mut obs = execute(&mut self.pool, &self.derive, cfg, retention, spare);
+        let mut obs = execute(&mut self.exec, &self.derive, cfg, retention, spare);
         obs.stats.alloc.add(&derive);
         obs
     }
@@ -812,25 +812,25 @@ impl SeedRunner {
     fn check_ranks(&self, cfg: &ScenarioCfg) {
         assert_eq!(
             cfg.ranks,
-            self.pool.size(),
-            "scenario rank count does not match this runner's pool"
+            self.exec.size(),
+            "scenario rank count does not match this runner's executor"
         );
     }
 }
 
-/// Run `schedule` on `pool`. `spare` is an optional recycled schedule
+/// Run `schedule` on `exec`. `spare` is an optional recycled schedule
 /// whose buffers become the observation's schedule copy (no fresh
 /// clone allocation).
 fn execute(
-    pool: &mut UniversePool,
+    exec: &mut SimExecutor,
     schedule: &Schedule,
     cfg: &ScenarioCfg,
     retention: Retention,
     spare: Option<Schedule>,
 ) -> Observation {
-    // Measure the harness's own heap traffic on this thread (scheduler
-    // construction, plan fold, observation assembly); the rank bodies'
-    // traffic arrives separately via `RunReport::alloc`.
+    // One snapshot on this thread counts the whole run: the harness's
+    // own work (scheduler construction, plan fold, observation
+    // assembly) and the rank bodies, which run here as fibers.
     let alloc_before = allocstats::snapshot();
     let sched = Arc::new(Scheduler::new(
         cfg.ranks,
@@ -843,10 +843,9 @@ fn execute(
         .kills
         .iter()
         .fold(FaultPlan::none(), |p, k| p.kill_at(k.victim, k.hook, k.occurrence));
-    let ucfg = UniverseConfig::with_plan(plan).traced().sim(sched.clone());
+    let scfg = SimConfig::new(sched.clone()).with_plan(plan).traced();
     let ring = cfg.ring_config();
-    let f = move |p: &mut ftmpi::Process| run_ring(p, WORLD, &ring);
-    let report = pool.run(ucfg, f);
+    let report = exec.run(scfg, |p| run_ring(p, WORLD, &ring));
 
     // The observation's schedule copy reuses a recycled buffer when
     // the caller provided one (§8.10: retention must not cost a fresh
@@ -864,14 +863,13 @@ fn execute(
         trace: report.trace,
         log: sched.log_text(),
         delay_calls: sched.delay_calls(),
-        // Handoff + coverage summary + rank-body alloc, via the one
-        // RunStats surface the pool assembled.
+        // Handoff + coverage summary via the one RunStats surface; the
+        // executor leaves `alloc` to the snapshot below.
         stats: report.stats,
         coverage: sched.take_coverage(),
     };
     // Snapshot *after* assembly so the observation's own work counts.
-    let harness = allocstats::snapshot().since(&alloc_before);
-    obs.stats.alloc.add(&harness);
+    obs.stats.alloc.add(&allocstats::snapshot().since(&alloc_before));
     obs
 }
 
@@ -1070,6 +1068,76 @@ mod tests {
         assert!(cfg.validate().is_err());
         let ok = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
         assert!(ok.validate().is_ok());
+    }
+
+    /// The golden decision log of `seed` at 4 ranks, hardened ring,
+    /// pair shape, as committed under `tests/golden/`.
+    fn golden_r4(seed: u64) -> &'static str {
+        let golden = include_str!("../tests/golden/decision_logs_r4.txt");
+        let header = format!("=== seed {seed:#x} ranks 4 ===\n");
+        let start = golden.find(&header).expect("seed is pinned") + header.len();
+        let len = golden[start..].find("===").unwrap_or(golden.len() - start);
+        &golden[start..start + len]
+    }
+
+    /// A rank that panics under the scheduler is reported as
+    /// `Panicked` with its message while the other ranks finish; the
+    /// runner that hosted the panic then renders a golden log
+    /// byte-identically.
+    #[test]
+    fn panicking_rank_is_contained_and_the_runner_stays_exact() {
+        use ftmpi::{Src, WORLD};
+        let cfg = ScenarioCfg::default();
+        let mut runner = SeedRunner::new(cfg.ranks);
+        let sched = Arc::new(Scheduler::new(cfg.ranks, 3, 10_000, None, Retention::Full));
+        let report = runner.exec.run(SimConfig::new(sched.clone()), |p| {
+            let me = p.world_rank();
+            p.send(WORLD, me, 0, &(me as u64))?;
+            if me == 1 {
+                panic!("rank 1 gives up holding the token");
+            }
+            let (v, _) = p.recv::<u64>(WORLD, Src::Rank(me), 0)?;
+            Ok(v)
+        });
+        for (rank, outcome) in report.outcomes.iter().enumerate() {
+            match (rank, outcome) {
+                (1, RankOutcome::Panicked(msg)) => {
+                    assert_eq!(msg, "rank 1 gives up holding the token")
+                }
+                (r, RankOutcome::Ok(v)) if r != 1 => assert_eq!(*v, r as u64),
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        }
+        assert!(!report.hung && !sched.budget_exhausted());
+        for seed in [0u64, 5] {
+            assert_eq!(
+                runner.run_seed(seed, &cfg, Retention::Full).log,
+                golden_r4(seed),
+                "seed {seed:#x} after a panicking run"
+            );
+        }
+    }
+
+    /// A budget-exhausted run — every suspended rank resumed in rank
+    /// order to unwind — observes the same on a fresh runner and on one
+    /// that ran other schedules first: outcomes, log, trace and triage.
+    #[test]
+    fn budget_exhausted_seed_is_identical_on_fresh_and_reused_runners() {
+        let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+        let mut reused = SeedRunner::new(cfg.ranks);
+        for seed in 0..4 {
+            reused.run_seed(seed, &cfg, Retention::Quiet);
+        }
+        let fresh = SeedRunner::new(cfg.ranks).run_seed(0x11, &cfg, Retention::Full);
+        let again = reused.run_seed(0x11, &cfg, Retention::Full);
+        assert!(fresh.hung && fresh.budget_exhausted, "seed 0x11 must exhaust its budget");
+        let triage = crate::triage(&fresh).to_string();
+        assert!(triage.contains("rank 0 waits on T_N from rank 1"), "{triage}");
+        assert_eq!(fresh.outcomes, again.outcomes);
+        assert_eq!((fresh.hung, fresh.budget_exhausted), (again.hung, again.budget_exhausted));
+        assert_eq!(fresh.log, again.log);
+        assert_eq!(format!("{:?}", fresh.trace), format!("{:?}", again.trace));
+        assert_eq!(triage, crate::triage(&again).to_string());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The serializing, seeded scheduler (the heart of the harness).
 //!
 //! One [`Scheduler`] drives one `ftmpi` universe through the
-//! [`SchedHook`] instrumentation: every rank thread blocks inside
-//! [`SchedHook::step`] until the scheduler grants it the token, so at
+//! [`SchedHook`] instrumentation. The universe runs on
+//! [`ftmpi::SimExecutor`], every rank a fiber on one OS thread: a rank
+//! that reaches [`SchedHook::step`] hands the token back and, unless it
+//! is granted the token again at once, suspends until the executor's
+//! dispatcher resumes the rank [`SchedHook::runnable`] names. So at
 //! most one rank executes runtime actions at any instant and the whole
 //! interleaving collapses to a *sequence of decisions*. Each decision
 //! (which rank runs next, which ready request completes, which sender
@@ -11,41 +14,29 @@
 //! complete schedule, reproducible forever, and the decision log it
 //! leaves behind is byte-identical across runs.
 //!
-//! ### Dispatch protocol (self-grant fast path + park)
+//! ### Dispatch protocol (self-grant fast path + fiber switch)
 //!
 //! * `n` ranks start registered; a rank leaves on
 //!   [`SchedHook::on_exit`].
-//! * A rank arriving at a step point parks in `waiting`. When *every*
-//!   registered rank is parked (nobody is running), the scheduler picks
-//!   one at random and logs `grant`.
+//! * A rank arriving at a step point joins `waiting`. When *every*
+//!   registered rank is waiting (nobody is running), the scheduler
+//!   picks one at random and logs `grant`.
 //! * **Self-grant fast path**: the stepping rank runs `try_dispatch`
-//!   itself, while it still holds the lock and is still on-CPU. If the
-//!   PRNG draws *that same rank* — always, when it is the sole waiter,
-//!   which is the common case for the paper's one-token-in-flight ring
-//!   — the grant is returned inline from `step` and the park/wake
-//!   context-switch pair is elided entirely. The PRNG stream and the
-//!   logged decision are unchanged; only the handoff is skipped. Only a
-//!   rank handing the token back is eligible (not the last arrival at
-//!   the entry barrier), so `self_grants` is a function of the seed.
-//! * Otherwise the handoff goes through a per-rank slot: a word-sized
-//!   state machine (`ARMED → PARKED → GRANTED`, or `ABORT`) plus
-//!   `thread::park`/`Thread::unpark`. The granter flips the slot to
-//!   `GRANTED` with one atomic swap and unparks the waiter only if it
-//!   had already parked; a grant that lands before the waiter commits
-//!   to parking is consumed without sleeping. There is no spin phase
-//!   (DESIGN.md §8.9): it never caught a grant at 4 or 8 ranks, and a
-//!   spinning waiter steals the CPU another universe's rank needs.
-//!   Compared to the previous per-rank condition variables this removes
-//!   the futex-wait + mutex-reacquisition cost from every handoff
-//!   (measured ~2.5 µs per condvar round trip vs ~1 µs for a raw
-//!   park/unpark pair on the reference box, DESIGN.md §8.9).
-//! * Self-grants, parks and unparks are counted
-//!   ([`SchedHook::run_stats`]) and surfaced per run through
-//!   `RunReport` and `dst explore --stats`.
+//!   itself. If the PRNG draws *that same rank* — always, when it is
+//!   the sole waiter, which is the common case for the paper's
+//!   one-token-in-flight ring — the grant is returned inline from
+//!   `step` and no fiber switch happens. Only a rank handing the token
+//!   back counts as a self-grant (not the last arrival at the entry
+//!   barrier), so `self_grants` is a function of the seed.
+//! * Otherwise the stepping rank suspends ([`ftmpi::suspend`]) and the
+//!   dispatcher resumes the granted rank: two user-space stack switches,
+//!   no kernel entry (DESIGN.md §8.9).
 //! * The number of grants is the **logical clock**. When it exceeds the
 //!   step budget the run is aborted — the deterministic replacement for
 //!   a wall-clock hang watchdog: a distributed hang is just a schedule
-//!   that keeps granting without anyone exiting.
+//!   that keeps granting without anyone exiting. From then on no rank
+//!   holds the token, every `step` returns [`StepOutcome::Abort`], and
+//!   the dispatcher resumes the suspended ranks in ascending order.
 //!
 //! ### Pick-index stability
 //!
@@ -92,12 +83,13 @@
 //! scheduling point. All `ftmpi` library blocking does (`wait_loop`);
 //! application closures that spin on `yield_now` without calling the
 //! runtime would wedge the simulation and must not be used under it.
+//! A scheduler drives ranks of one [`ftmpi::SimExecutor`] run: a rank
+//! that must wait for the token calls [`ftmpi::suspend`], which panics
+//! outside a simulation fiber.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::thread::Thread;
 
 use crate::coverage::{CoverageSet, EdgeKind, PHASE_CAP};
 use crate::scenario::Retention;
@@ -133,7 +125,7 @@ pub enum SchedEvent {
         /// The killed rank.
         victim: Rank,
     },
-    /// `rank`'s thread left the universe.
+    /// `rank` left the universe.
     Exit {
         /// The departing rank.
         rank: Rank,
@@ -168,29 +160,12 @@ impl std::fmt::Display for SchedEvent {
 /// Out of 16: how often a drain call delays in exploration mode.
 const DELAY_WEIGHT: u64 = 4;
 
-// Per-rank handoff slot states. A slot belongs to exactly one waiter
-// (its rank) and is written by granters only via the `GRANTED`/`ABORT`
-// swaps below.
-/// Waiter is awake (running, or about to check the slot).
-const ARMED: u32 = 0;
-/// Waiter has committed to `thread::park` (granter must unpark).
-const PARKED: u32 = 1;
-/// Grant delivered; waiter consumes it and re-arms.
-const GRANTED: u32 = 2;
-/// Budget exhausted; waiter must abort. Terminal for the run.
-const ABORT: u32 = 3;
-
-/// One per-rank handoff slot: the word the grant travels through.
-struct HandoffSlot {
-    state: AtomicU32,
-}
-
 struct Inner {
-    /// Ranks whose threads are still inside the universe. A count
+    /// Ranks still inside the universe. A count
     /// suffices: `waiting ⊆ registered` (an exited rank never steps
     /// again), and dispatch only compares sizes.
     registered: usize,
-    /// Registered ranks currently parked at a step point, in ascending
+    /// Registered ranks currently waiting at a step point, in ascending
     /// rank order. `waiting[idx]` is the idx-th smallest — exactly what
     /// `BTreeSet::iter().nth(idx)` returned — so grants stay
     /// pick-index-stable while indexing is O(1).
@@ -220,16 +195,10 @@ struct Inner {
     delays: Vec<u64>,
     /// Shrink mode: exactly these drain calls may delay.
     delay_mask: Option<BTreeSet<u64>>,
-    /// Thread handle per rank, registered at the rank's first `step`
-    /// (under this mutex, before the rank can ever be granted), so a
-    /// granter can unpark it. `None` until the rank first steps.
-    threads: Vec<Option<Thread>>,
     /// Grants actually issued (excludes the budget-exhausting draw).
     grants: u64,
     /// Grants returned inline to the stepping rank (fast path).
     self_grants: u64,
-    /// `Thread::unpark` wakeups issued by granters.
-    unparks: u64,
     /// Coverage-edge set for this run (always collected; quiet mode
     /// only suppresses the *log*, not the coverage signal).
     coverage: CoverageSet,
@@ -239,17 +208,10 @@ struct Inner {
 }
 
 /// The serializing scheduler. Construct, wrap in an `Arc`, and pass to
-/// [`ftmpi::UniverseConfig::sim`].
+/// [`ftmpi::SimConfig::new`].
 pub struct Scheduler {
     inner: Mutex<Inner>,
-    /// One handoff slot per rank: a grant travels to exactly the
-    /// granted rank through its slot word.
-    slots: Vec<HandoffSlot>,
     budget: u64,
-    // Waiter-side counters. These are bumped outside the inner mutex
-    // (on the park path), so they are atomics on the scheduler.
-    prepark_grants: AtomicU64,
-    parks: AtomicU64,
 }
 
 impl Scheduler {
@@ -282,17 +244,12 @@ impl Scheduler {
                 drain_calls: 0,
                 delays: Vec::new(),
                 delay_mask: mask.map(|m| m.iter().copied().collect()),
-                threads: vec![None; n],
                 grants: 0,
                 self_grants: 0,
-                unparks: 0,
                 coverage: CoverageSet::new(),
                 kills_seen: 0,
             }),
-            slots: (0..n).map(|_| HandoffSlot { state: AtomicU32::new(ARMED) }).collect(),
             budget,
-            prepark_grants: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
         }
     }
 
@@ -344,11 +301,11 @@ impl Scheduler {
         std::mem::replace(&mut inner.coverage, CoverageSet::empty())
     }
 
-    /// Grant the token to a random parked rank if everyone registered
-    /// is parked. Must be called with the lock held. `current` is the
+    /// Grant the token to a random waiting rank if everyone registered
+    /// is waiting. Must be called with the lock held. `current` is the
     /// stepping rank when the caller is eligible for the self-grant
     /// fast path; returns `true` iff the grant went to `current`
-    /// inline (no slot traffic at all).
+    /// inline.
     fn try_dispatch(&self, inner: &mut Inner, current: Option<Rank>) -> bool {
         if inner.aborted || inner.running.is_some() || inner.waiting.is_empty() {
             return false;
@@ -358,22 +315,13 @@ impl Scheduler {
         }
         inner.steps += 1;
         if inner.steps > self.budget {
+            // Nobody holds the token from here on: every suspended rank
+            // is resumed by the dispatcher and sees `aborted`.
             inner.aborted = true;
             let phase = inner.kills_seen;
             inner.coverage.record(0, EdgeKind::Budget, phase);
             if inner.record {
                 inner.log.push(SchedEvent::Budget);
-            }
-            // Teardown is the one event every parked rank must see. No
-            // grant can be in flight here (`running` blocks dispatch
-            // until the grantee consumed it), so `ABORT` never
-            // overwrites a pending `GRANTED`.
-            for (rank, slot) in self.slots.iter().enumerate() {
-                if slot.state.swap(ABORT, Ordering::AcqRel) == PARKED {
-                    if let Some(t) = &inner.threads[rank] {
-                        t.unpark();
-                    }
-                }
             }
             return false;
         }
@@ -388,83 +336,22 @@ impl Scheduler {
         }
         if current == Some(rank) {
             // Self-grant fast path: the stepping rank drew itself —
-            // certain whenever it is the sole waiter. Return the grant
-            // inline; the park/wake pair is elided.
+            // certain whenever it is the sole waiter.
             inner.self_grants += 1;
             return true;
-        }
-        // Direct handoff: flip the grantee's slot word. Unpark only if
-        // the waiter already committed to parking; if it is still in
-        // its pre-park window it consumes the grant without ever
-        // sleeping.
-        let prev = self.slots[rank].state.swap(GRANTED, Ordering::AcqRel);
-        if prev == PARKED {
-            inner.unparks += 1;
-            inner.threads[rank]
-                .as_ref()
-                .expect("a waiting rank has stepped, so its thread is registered")
-                .unpark();
         }
         false
     }
 
-    /// Wait on `rank`'s slot until granted or aborted. Called without
-    /// the inner lock; the grant signal travels through the slot word
-    /// (`Release` swap by the granter, `Acquire` loads here).
-    fn await_grant(&self, rank: Rank) -> StepOutcome {
-        let slot = &self.slots[rank];
-        // Announce PARKED first so the granter knows an
-        // unpark is needed, re-check, then sleep. A stale unpark token
-        // (granter saw PARKED but we consumed the grant en route) only
-        // makes one later park return early — `thread::park` tolerates
-        // spurious returns by contract, and the loop re-checks.
-        let mut parked = false;
-        loop {
-            match slot.state.load(Ordering::Acquire) {
-                GRANTED => {
-                    slot.state.store(ARMED, Ordering::Relaxed);
-                    if !parked {
-                        // Raced the granter: consumed before sleeping.
-                        self.prepark_grants.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return StepOutcome::Run;
-                }
-                ABORT => return self.abort_wait(rank),
-                ARMED => {
-                    let _ = slot.state.compare_exchange(
-                        ARMED,
-                        PARKED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                }
-                _ => {
-                    // PARKED (by us): sleep until a granter unparks.
-                    self.parks.fetch_add(1, Ordering::Relaxed);
-                    parked = true;
-                    std::thread::park();
-                }
-            }
-        }
-    }
-
-    /// Budget fired while `rank` waited: leave the waiting set so a
-    /// concurrent accounting pass never sees a phantom parked rank.
-    fn abort_wait(&self, rank: Rank) -> StepOutcome {
-        let mut inner = self.inner.lock().unwrap();
-        Scheduler::unpark(&mut inner, rank);
-        StepOutcome::Abort
-    }
-
     /// Insert `rank` into the sorted waiting list (it is never already
-    /// present: a rank parks only while it holds no token).
-    fn park(inner: &mut Inner, rank: Rank) {
+    /// present: a rank waits only while it holds no token).
+    fn wait(inner: &mut Inner, rank: Rank) {
         let pos = inner.waiting.binary_search(&rank).unwrap_err();
         inner.waiting.insert(pos, rank);
     }
 
     /// Remove `rank` from the waiting list if present.
-    fn unpark(inner: &mut Inner, rank: Rank) {
+    fn leave(inner: &mut Inner, rank: Rank) {
         if let Ok(pos) = inner.waiting.binary_search(&rank) {
             inner.waiting.remove(pos);
         }
@@ -474,17 +361,10 @@ impl Scheduler {
 impl SchedHook for Scheduler {
     fn step(&self, rank: Rank, _point: SchedPoint) -> StepOutcome {
         let mut inner = self.inner.lock().unwrap();
-        if inner.threads[rank].is_none() {
-            // First step of this rank's thread: register the handle a
-            // granter will unpark. Happens under the mutex before the
-            // rank can ever appear in `waiting`, so every grant
-            // targets a registered thread.
-            inner.threads[rank] = Some(std::thread::current());
-        }
         // Only a rank handing the token back is eligible for the
-        // self-grant path. At the entry barrier, which rank arrives last
-        // is timing; letting it self-grant would make `self_grants`
-        // differ between two runs of one seed.
+        // self-grant path: the entry barrier's last arrival drawing
+        // itself is an ordinary grant (it runs on without a switch all
+        // the same), so `self_grants` counts handbacks only.
         let held = inner.running == Some(rank);
         if held {
             inner.running = None;
@@ -492,16 +372,29 @@ impl SchedHook for Scheduler {
         if inner.aborted {
             return StepOutcome::Abort;
         }
-        Scheduler::park(&mut inner, rank);
+        Scheduler::wait(&mut inner, rank);
         if self.try_dispatch(&mut inner, held.then_some(rank)) {
             return StepOutcome::Run;
         }
-        if inner.aborted {
-            Scheduler::unpark(&mut inner, rank);
-            return StepOutcome::Abort;
+        if inner.running != Some(rank) {
+            if inner.aborted {
+                Scheduler::leave(&mut inner, rank);
+                return StepOutcome::Abort;
+            }
+            drop(inner);
+            ftmpi::suspend();
+            inner = self.inner.lock().unwrap();
+            if inner.aborted {
+                Scheduler::leave(&mut inner, rank);
+                return StepOutcome::Abort;
+            }
+            assert_eq!(inner.running, Some(rank), "rank {rank} resumed without the token");
         }
-        drop(inner);
-        self.await_grant(rank)
+        StepOutcome::Run
+    }
+
+    fn runnable(&self) -> Option<Rank> {
+        self.inner.lock().unwrap().running
     }
 
     fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize {
@@ -544,7 +437,7 @@ impl SchedHook for Scheduler {
     fn on_exit(&self, rank: Rank) {
         let mut inner = self.inner.lock().unwrap();
         inner.registered = inner.registered.saturating_sub(1);
-        Scheduler::unpark(&mut inner, rank);
+        Scheduler::leave(&mut inner, rank);
         if inner.running == Some(rank) {
             inner.running = None;
         }
@@ -553,10 +446,9 @@ impl SchedHook for Scheduler {
         if inner.record {
             inner.log.push(SchedEvent::Exit { rank });
         }
-        // The exit may have completed the "everyone parked" condition;
-        // dispatch wakes whoever is granted. No other rank's wake
-        // condition changes, so no broadcast is needed. The exiting
-        // rank is not stepping, so no self-grant candidate here.
+        // The exit may have completed the "everyone waiting" condition;
+        // the dispatcher resumes whoever is granted. The exiting rank is
+        // not stepping, so no self-grant candidate here.
         self.try_dispatch(&mut inner, None);
     }
 
@@ -584,12 +476,14 @@ impl SchedHook for Scheduler {
                 steps: inner.steps,
                 grants: inner.grants,
                 self_grants: inner.self_grants,
-                prepark_grants: self.prepark_grants.load(Ordering::Relaxed),
-                parks: self.parks.load(Ordering::Relaxed),
-                unparks: inner.unparks,
-                // No spin phase: the field stays for its readers.
+                // Ranks are fibers: nothing parks, unparks or spins.
+                // These fields stay for their readers.
+                prepark_grants: 0,
+                parks: 0,
+                unparks: 0,
                 spin_iters: 0,
-                // Wall-clock transport counter; the pool fills this in.
+                // Wall-clock transport counter; the executor fills
+                // this in.
                 park_safety_timeouts: 0,
             },
             coverage: inner.coverage.stats(),
@@ -602,6 +496,7 @@ impl SchedHook for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftmpi::{SimConfig, SimExecutor};
     use std::sync::Arc;
 
     fn recorded(n: usize, seed: u64, budget: u64) -> Scheduler {
@@ -610,6 +505,17 @@ mod tests {
 
     fn quiet(n: usize, seed: u64, budget: u64) -> Scheduler {
         Scheduler::new(n, seed, budget, None, Retention::Quiet)
+    }
+
+    /// Run `n` fiber ranks under `sched`, each calling `body` with the
+    /// scheduler and its rank; the executor brackets every rank with
+    /// its `Enter` step and `on_exit`.
+    fn drive(sched: &Arc<Scheduler>, n: usize, body: impl Fn(&Scheduler, Rank)) {
+        let report = SimExecutor::new(n).run(SimConfig::new(sched.clone()), |p| {
+            body(sched, p.world_rank());
+            Ok(())
+        });
+        assert!(report.outcomes.iter().all(|o| o.is_ok()), "{:?}", report.outcomes);
     }
 
     #[test]
@@ -623,47 +529,46 @@ mod tests {
     }
 
     #[test]
-    fn serializes_two_threads_and_logs_grants() {
+    fn serializes_two_fibers_and_logs_grants() {
         let sched = Arc::new(recorded(2, 42, 1000));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10 {
-                    assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
-                }
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        drive(&sched, 2, |s, me| {
+            for _ in 0..10 {
+                assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
+                assert_eq!(s.runnable(), Some(me), "a running rank holds the token");
+            }
+        });
         let grants = sched
             .events()
             .iter()
             .filter(|e| matches!(e, SchedEvent::Grant { .. }))
             .count();
-        assert_eq!(grants, 20);
+        // The entry grant, one per step, and one when the first rank
+        // to finish leaves the other waiting.
+        assert_eq!(grants, 22);
         assert!(!sched.budget_exhausted());
+        assert_eq!(sched.runnable(), None, "nobody holds the token after the run");
+    }
+
+    /// Spin until the budget fires, like a hung wait loop.
+    fn spin(s: &Scheduler, me: Rank) {
+        while s.step(me, SchedPoint::Tick) == StepOutcome::Run {}
     }
 
     #[test]
     fn budget_exhaustion_aborts_every_rank() {
         let sched = Arc::new(recorded(2, 1, 25));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                // Spin until the budget fires, like a hung wait loop.
-                while s.step(me, SchedPoint::Tick) == StepOutcome::Run {}
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        drive(&sched, 2, spin);
         assert!(sched.budget_exhausted());
         assert!(sched.steps() > 25);
+        assert_eq!(sched.runnable(), None);
+    }
+
+    #[test]
+    fn quiet_budget_exhaustion_is_still_visible() {
+        let sched = Arc::new(quiet(2, 1, 25));
+        drive(&sched, 2, spin);
+        assert!(sched.budget_exhausted(), "aborted flag works without the log");
+        assert!(sched.events().is_empty());
     }
 
     #[test]
@@ -687,25 +592,6 @@ mod tests {
         assert!(quiet.events().is_empty());
         assert!(quiet.log_text().is_empty());
         assert!(quiet.delay_calls().is_empty());
-        assert!(!recorded.delay_calls().is_empty() || recorded.delay_calls().is_empty());
-    }
-
-    #[test]
-    fn quiet_budget_exhaustion_is_still_visible() {
-        let sched = Arc::new(quiet(2, 1, 25));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                while s.step(me, SchedPoint::Tick) == StepOutcome::Run {}
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(sched.budget_exhausted(), "aborted flag works without the log");
-        assert!(sched.events().is_empty());
     }
 
     #[test]
@@ -722,7 +608,8 @@ mod tests {
 
     /// A sole-waiter rank always draws itself: every grant after its
     /// entry step (which holds no token to hand back) takes the
-    /// self-grant fast path, and none of them parks or unparks.
+    /// self-grant fast path, and no step ever suspends — which is why
+    /// this test needs no fiber.
     #[test]
     fn sole_waiter_grants_are_all_elided() {
         let sched = recorded(1, 5, 1000);
@@ -733,40 +620,30 @@ mod tests {
         let stats = sched.run_stats().handoff;
         assert_eq!(stats.grants, 50);
         assert_eq!(stats.self_grants, 49);
-        assert_eq!(stats.prepark_grants, 1);
-        assert_eq!(stats.parks, 0);
-        assert_eq!(stats.unparks, 0);
+        assert_eq!(
+            (stats.prepark_grants, stats.parks, stats.unparks, stats.spin_iters),
+            (0, 0, 0, 0)
+        );
     }
 
     /// Two ranks ping-ponging: the PRNG draws the stepping rank about
     /// half the time, so some grants take the self-grant path. The log
-    /// and the deterministic counters (steps, grants, self-grants)
-    /// repeat exactly across runs; only parks/unparks depend on timing.
+    /// and the counters repeat exactly across runs.
     #[test]
     fn ping_pong_self_grants_repeat_across_runs() {
         let run = || {
             let sched = Arc::new(recorded(2, 42, 1000));
-            let mut handles = Vec::new();
-            for me in 0..2 {
-                let s = Arc::clone(&sched);
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
-                    }
-                    s.on_exit(me);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let h = sched.run_stats().handoff;
-            (sched.log_text(), h.steps, h.grants, h.self_grants, h.spin_iters)
+            drive(&sched, 2, |s, me| {
+                for _ in 0..10 {
+                    assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
+                }
+            });
+            (sched.log_text(), sched.run_stats().handoff)
         };
-        let (log_a, steps, grants, self_grants, spin_iters) = run();
-        assert_eq!((log_a, steps, grants, self_grants, spin_iters), run());
-        assert_eq!(grants, 20);
-        assert!(self_grants > 0, "no self-grants on a 2-rank ping-pong");
-        assert_eq!(spin_iters, 0, "the handoff has no spin phase");
+        let (log, h) = run();
+        assert_eq!((log, h), run());
+        assert_eq!(h.grants, 22);
+        assert!(h.self_grants > 0, "no self-grants on a 2-rank ping-pong");
     }
 
     #[test]

@@ -45,26 +45,13 @@ use crate::shrink::shrink;
 /// contended.
 const CHUNK: u64 = 8;
 
-/// Rank threads a sweep keeps per core. Each worker universe has
-/// `ranks` threads but at most one of them runnable (the scheduler
-/// serializes it), so one worker per core under-fills the machine
-/// whenever ranks sit blocked in the handoff; ~12 threads per core sits
-/// inside the measured throughput plateau.
-const THREADS_PER_CORE: usize = 12;
-
-/// Floor on the rank-thread budget, so small hosts still run several
-/// universes side by side.
-const MIN_THREADS: usize = 48;
-
-/// Worker count for a sweep of `count` seeds at `ranks` ranks on
-/// `cores` cores: at most `max(12 × cores, 48) / ranks` workers (at
-/// least one), so `workers × ranks` stays within the rank-thread
-/// budget. `jobs = 0` takes that bound; an explicit `jobs` is capped at
-/// it. Never more workers than seeds.
-fn workers(jobs: usize, ranks: usize, count: u64, cores: usize) -> usize {
-    let cap = ((THREADS_PER_CORE * cores).max(MIN_THREADS) / ranks.max(1)).max(1);
-    let jobs = if jobs == 0 { cap } else { jobs.min(cap) };
-    // More workers than seeds just park on an empty cursor.
+/// Worker count for a sweep of `count` seeds on `cores` cores: each
+/// worker runs its universes on its own thread, every rank a fiber, so
+/// `jobs = 0` means one worker per core and an explicit `jobs` is taken
+/// as given. Never more workers than seeds.
+fn workers(jobs: usize, count: u64, cores: usize) -> usize {
+    let jobs = if jobs == 0 { cores } else { jobs };
+    // More workers than seeds would find the cursor empty.
     jobs.min(usize::try_from(count).unwrap_or(usize::MAX)).max(1)
 }
 
@@ -75,9 +62,8 @@ pub struct SweepCfg {
     pub start: u64,
     /// Number of seeds (`start..start + count`).
     pub count: u64,
-    /// Worker threads; `0` means the rank-thread bound
-    /// `max(12 × cores, 48) / ranks`, and an explicit value is capped at
-    /// that bound.
+    /// Worker threads; `0` means one per core. Never more than
+    /// `count`.
     pub jobs: usize,
     /// Cap on retained failure summaries (the lowest failing seeds are
     /// kept; everything beyond the cap is counted, not stored).
@@ -398,7 +384,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     cfg.validate()?;
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let jobs = workers(cfg.jobs, scenario.ranks, cfg.count, cores);
+    let jobs = workers(cfg.jobs, cfg.count, cores);
 
     let begun = Instant::now();
     // The cursor hands out *offsets* in `0..count`, never absolute
@@ -415,9 +401,9 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
-                // One persistent executor pool per worker: every seed
-                // this worker claims reuses the same rank threads and
-                // universe state instead of spawning a fresh set.
+                // One persistent runner per worker: every seed this
+                // worker claims reuses the same fiber stacks and
+                // universe state.
                 let mut runner = SeedRunner::new(scenario.ranks);
                 loop {
                     let claim = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
@@ -570,19 +556,19 @@ mod tests {
         assert_eq!((tally.green, tally.failing, tally.runs()), (4, 0, 4));
     }
 
-    /// The rank-thread bound on a 2-core host, an explicit `--jobs`
-    /// capped at it, and a seed count below it.
+    /// One worker per core by default, an explicit `--jobs` taken as
+    /// given, and the seed count capping both.
     #[test]
-    fn workers_follow_the_rank_thread_bound() {
-        assert_eq!(workers(0, 8, 1000, 2), 6);
-        assert_eq!(workers(0, 4, 1000, 2), 12);
-        assert_eq!(workers(64, 8, 1000, 2), 6);
-        assert_eq!(workers(2, 8, 1000, 2), 2);
-        assert_eq!(workers(0, 8, 3, 2), 3);
-        // More cores lift the bound past the 48-thread floor.
-        assert_eq!(workers(0, 8, 1000, 8), 12);
-        // A world larger than the budget still gets one worker.
-        assert_eq!(workers(0, 256, 1000, 2), 1);
+    fn workers_are_one_per_core_capped_by_seeds() {
+        assert_eq!(workers(0, 1000, 2), 2);
+        assert_eq!(workers(0, 1000, 8), 8);
+        // An explicit count is taken as given, whatever the rank count.
+        assert_eq!(workers(64, 1000, 2), 64);
+        assert_eq!(workers(1, 1000, 8), 1);
+        // Never more workers than seeds.
+        assert_eq!(workers(0, 3, 8), 3);
+        assert_eq!(workers(16, 5, 2), 5);
+        assert_eq!(workers(0, 0, 2), 1);
     }
 
     #[test]

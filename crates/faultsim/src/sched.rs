@@ -1,30 +1,35 @@
 //! Scheduler instrumentation for deterministic simulation testing.
 //!
-//! The `ftmpi` runtime runs each rank on an OS thread; which rank makes
-//! progress next is normally decided by the kernel scheduler, so a
-//! buggy interleaving reproduces only by luck. A [`SchedHook`] turns
-//! those decisions into explicit calls the runtime makes at every
-//! *scheduling point*, letting a harness (the `dst` crate) serialize
-//! the ranks and drive every decision from a seeded PRNG — the
-//! FoundationDB-style simulation approach: one `u64` seed names one
-//! complete interleaving, reproducible forever.
+//! In wall-clock mode the `ftmpi` runtime runs each rank on an OS
+//! thread, and which rank makes progress next is decided by the kernel
+//! scheduler, so a buggy interleaving reproduces only by luck. A
+//! [`SchedHook`] turns those decisions into explicit calls the runtime
+//! makes at every *scheduling point*, letting a harness (the `dst`
+//! crate) serialize the ranks and drive every decision from a seeded
+//! PRNG — the FoundationDB-style simulation approach: one `u64` seed
+//! names one complete interleaving, reproducible forever. A hooked
+//! universe runs on `ftmpi`'s simulation executor, which runs every
+//! rank as a fiber on one OS thread.
 //!
 //! The runtime's side of the contract:
 //!
 //! * Every rank calls [`SchedHook::step`] when it enters the universe
 //!   ([`SchedPoint::Enter`]), at the top of every wait-loop pass
 //!   ([`SchedPoint::Tick`]), and before every send
-//!   ([`SchedPoint::Send`]). The call may **block** — that is the
+//!   ([`SchedPoint::Send`]). The call hands the execution token back
+//!   and may **suspend** the calling rank's fiber — that is the
 //!   mechanism by which a serializing scheduler admits one rank at a
-//!   time. A [`StepOutcome::Abort`] return tells the rank the logical
-//!   step budget is exhausted (the deterministic replacement for a
-//!   wall-clock hang watchdog) and it must abort the job.
+//!   time. The executor's dispatcher then resumes the rank
+//!   [`SchedHook::runnable`] names. A [`StepOutcome::Abort`] return
+//!   tells the rank the logical step budget is exhausted (the
+//!   deterministic replacement for a wall-clock hang watchdog) and it
+//!   must abort the job.
 //! * Every nondeterministic *choice* with `n` alternatives is routed
 //!   through [`SchedHook::choose`]: which ready request `waitany`
 //!   picks, which sender an `ANY_SOURCE` receive matches, and how many
 //!   queued envelopes a mailbox drain delivers (delaying the rest).
-//! * [`SchedHook::on_exit`] is called exactly once per rank thread when
-//!   it leaves the universe (normal return, failure, or panic), so the
+//! * [`SchedHook::on_exit`] is called exactly once per rank when it
+//!   leaves the universe (normal return, failure, or panic), so the
 //!   scheduler never waits for a rank that is gone.
 //! * [`SchedHook::on_kill`] reports fail-stop transitions for the
 //!   harness's event log.
@@ -76,13 +81,14 @@ pub enum StepOutcome {
     Abort,
 }
 
-/// Handoff-path performance counters reported by a [`SchedHook`].
+/// Handoff-path counters reported by a [`SchedHook`].
 ///
-/// A serializing scheduler hands the CPU from rank to rank at every
-/// [`SchedHook::step`]; each handoff normally costs a park/unpark pair
-/// of OS context switches. Implementations that elide handoffs (grant
-/// the stepping rank inline) expose the accounting here so harnesses
-/// can report the win per run instead of inferring it from throughput.
+/// A serializing scheduler hands the token from rank to rank at every
+/// [`SchedHook::step`]; a handoff to another rank costs a fiber switch
+/// through the executor's dispatcher. Implementations that elide
+/// handoffs (grant the stepping rank inline) expose the accounting
+/// here so harnesses can report the win per run instead of inferring
+/// it from throughput.
 ///
 /// All counters are cumulative since the hook was constructed (or
 /// reset), and travel as the `handoff` field of [`RunStats`] (the
@@ -95,18 +101,17 @@ pub struct HandoffStats {
     /// Grants actually issued.
     pub grants: u64,
     /// Grants returned inline to the stepping rank (self-grant fast
-    /// path): no park, no unpark, no context switch.
+    /// path): no fiber switch at all.
     pub self_grants: u64,
-    /// Grants consumed at the pre-park state check — the waiter raced
-    /// the granter and never slept. Not an elision: the window is an
-    /// accident of timing, not a fast path.
+    /// Always 0: ranks are fibers, and no handoff parks a thread. Kept,
+    /// with the three fields below, so consumers that read the field
+    /// keep compiling and report 0.
     pub prepark_grants: u64,
-    /// `thread::park` calls made by waiting ranks.
+    /// Always 0 (see `prepark_grants`).
     pub parks: u64,
-    /// `Thread::unpark` wakeups issued by granters.
+    /// Always 0 (see `prepark_grants`).
     pub unparks: u64,
-    /// Always 0: the handoff is park-only, with no spin phase. Kept so
-    /// consumers that read the field keep compiling and report 0.
+    /// Always 0 (see `prepark_grants`).
     pub spin_iters: u64,
     /// Wall-clock park-safety timeouts observed by the transport
     /// (filled in by the runtime, not the scheduler).
@@ -158,9 +163,11 @@ pub struct CoverageStats {
 /// allocation tally as separate parameters, and every new counter
 /// family meant touching the whole chain again. `RunStats` is the
 /// single extensible surface: the scheduler contributes `handoff` and
-/// `coverage` (via [`SchedHook::run_stats`]), the executor pool
-/// contributes `alloc`, and aggregation is one [`RunStats::merge`]
-/// call wherever runs are summed.
+/// `coverage` (via [`SchedHook::run_stats`]), whoever measures heap
+/// traffic contributes `alloc` (the wall-clock pool for its rank
+/// threads, the `dst` harness for a simulated run on its own thread),
+/// and aggregation is one [`RunStats::merge`] call wherever runs are
+/// summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Handoff-path performance counters (context-switch elision).
@@ -187,15 +194,23 @@ impl RunStats {
 /// Scheduling decisions driven by a test harness. See the module docs
 /// for the runtime's calling contract.
 pub trait SchedHook: Send + Sync {
-    /// Blocking scheduling point; returns when `rank` may proceed.
+    /// Scheduling point: `rank` hands the execution token back, and
+    /// the call returns when `rank` may proceed — at once if the
+    /// scheduler grants it the token again, otherwise after suspending
+    /// the rank's fiber until the dispatcher resumes it.
     fn step(&self, rank: Rank, point: SchedPoint) -> StepOutcome;
+
+    /// The rank holding the execution token, which the simulation
+    /// executor's dispatcher resumes next; `None` when no rank holds
+    /// it (every rank has left, or the step budget ran out).
+    fn runnable(&self) -> Option<Rank>;
 
     /// Resolve an `n`-way choice (`n >= 1` for [`ChoiceKind::WaitAny`]
     /// and [`ChoiceKind::AnySource`], `n >= 2` for
     /// [`ChoiceKind::Drain`]). Must return a value in `0..n`.
     fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize;
 
-    /// `rank`'s thread is leaving the universe; it will make no further
+    /// `rank` is leaving the universe; it will make no further
     /// `step`/`choose` calls.
     fn on_exit(&self, rank: Rank);
 
@@ -231,6 +246,9 @@ mod tests {
             self.steps.fetch_add(1, Ordering::Relaxed);
             StepOutcome::Run
         }
+        fn runnable(&self) -> Option<Rank> {
+            None
+        }
         fn choose(&self, _rank: Rank, _kind: ChoiceKind, n: usize) -> usize {
             assert!(n >= 1);
             0
@@ -245,6 +263,7 @@ mod tests {
         assert_eq!(hook.step(0, SchedPoint::Tick), StepOutcome::Run);
         assert_eq!(hook.step(1, SchedPoint::Send { dst: 0, tag: 7 }), StepOutcome::Run);
         assert_eq!(hook.choose(0, ChoiceKind::Drain, 3), 0);
+        assert_eq!(hook.runnable(), None);
         hook.on_kill(2);
         assert_eq!(hook.now(), 0);
         let stats = hook.run_stats();

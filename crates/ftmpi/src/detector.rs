@@ -68,7 +68,7 @@ impl FailureRegistry {
     /// Reset protocol (see `Shared::reset`): everyone alive at
     /// generation 0, epoch 0, no abort — the observable state of a
     /// fresh `FailureRegistry::new(n)`. Must only be called between
-    /// runs, when no rank thread is live.
+    /// runs, when no rank is live.
     pub fn reset(&self) {
         for s in &self.states {
             s.store(0, Ordering::Release);

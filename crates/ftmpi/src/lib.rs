@@ -8,7 +8,10 @@
 //! semantics, so this crate implements them from scratch as an
 //! in-process runtime:
 //!
-//! * each rank is an OS thread driving a [`Process`];
+//! * in wall-clock mode each rank is an OS thread driving a
+//!   [`Process`] ([`run`], [`UniversePool`]); under a
+//!   deterministic-simulation scheduler every rank is a fiber on one
+//!   thread instead ([`SimExecutor`]);
 //! * the transport is lossless and FIFO per sender/receiver pair;
 //! * matching follows MPI rules (context, source, tag; `ANY_SOURCE`,
 //!   `ANY_TAG`; non-overtaking);
@@ -53,6 +56,7 @@ mod coord;
 mod datatype;
 mod detector;
 mod error;
+mod fiber;
 mod group;
 mod matching;
 mod message;
@@ -62,6 +66,7 @@ mod pool;
 mod process;
 mod rank;
 mod request;
+mod sim;
 mod status;
 mod tag;
 mod trace;
@@ -78,7 +83,9 @@ pub use paypool::PayloadPool;
 pub use pool::UniversePool;
 pub use process::{Process, Src, WaitAny};
 pub use rank::{CommRank, RankInfo, RankState, WorldRank, ANY_SOURCE, PROC_NULL};
+pub use fiber::suspend;
 pub use request::{Completion, Request};
+pub use sim::{SimConfig, SimExecutor};
 pub use status::Status;
 pub use tag::{check_user_tag, Tag, TagSel, TAG_UB};
 pub use trace::{BlockedOn, Event, TimedEvent, Trace};

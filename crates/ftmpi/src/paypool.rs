@@ -6,8 +6,8 @@
 //! that is tens of short-lived heap allocations per schedule, the
 //! largest single contributor to steady-state churn. The pool keeps
 //! the backing allocations alive across messages *and across runs*
-//! (it lives in [`crate::universe::Shared`], which `UniversePool`
-//! recycles): a send takes a class buffer, overwrites it, and wraps it
+//! (it lives in [`crate::universe::Shared`], which both executors
+//! recycle): a send takes a class buffer, overwrites it, and wraps it
 //! as a `Bytes` prefix view; the receive path returns it once the
 //! payload is decoded.
 //!

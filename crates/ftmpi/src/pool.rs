@@ -1,34 +1,20 @@
-//! The persistent rank-executor pool.
+//! The persistent rank-executor pool for wall-clock mode.
 //!
 //! [`crate::run`] used to pay, per universe: `n` OS-thread spawns, `n`
 //! joins, and a full reallocation of the shared state (fabric slots,
 //! failure registry, coordination boards, trace sink). For a single
-//! run that cost is noise; for a deterministic-simulation sweep
-//! executing thousands of schedules per second it is the dominant
-//! overhead — at ~2600 schedules/sec × 4 ranks, more than ten thousand
-//! thread creations per second of pure churn.
+//! run that cost is noise; for a benchmark or property suite running
+//! thousands of universes back to back it dominates.
 //!
 //! [`UniversePool::new(n)`](UniversePool::new) owns `n` long-lived
-//! worker threads (named `rank-{i}`); [`UniversePool::run`] resets the
-//! shared universe state in place (`Shared::reset` — queues cleared
-//! with capacity retained, counters rewound, boards emptied) and hands
-//! each worker the closure for one run. [`crate::run`] remains the
-//! spawn-per-run path as a thin wrapper over a one-shot pool.
-//!
-//! ### Determinism
-//!
-//! A reused pool must keep the seed → schedule mapping of the `dst`
-//! harness **byte-identical** to a fresh one (the golden-log tests
-//! render every seed both ways and are the referee). Two properties
-//! make that structural rather than lucky:
-//!
-//! * a pooled worker re-enters `SchedPoint::Enter` exactly as a fresh
-//!   thread did — the job body is the old spawn body, and the DST
-//!   scheduler's dispatch barrier (no grant until every registered
-//!   rank is parked) erases submission-order races;
-//! * `Shared::reset` rewinds every observable counter and container to
-//!   its freshly-constructed value, so the simulation cannot read any
-//!   state bled from the previous schedule.
+//! worker threads (named `rank-{i}`), one per rank: real threads are
+//! the point of wall-clock mode, which tests the runtime under genuine
+//! concurrency. [`UniversePool::run`] resets the shared universe state
+//! in place (`Shared::reset` — queues cleared with capacity retained,
+//! counters rewound, boards emptied) and hands each worker the closure
+//! for one run. [`crate::run`] remains the spawn-per-run path as a thin
+//! wrapper over a one-shot pool. Runs under a deterministic-simulation
+//! scheduler use the single-threaded [`crate::SimExecutor`] instead.
 //!
 //! ### Reset safety
 //!
@@ -52,11 +38,11 @@ use std::time::{Duration, Instant};
 use allocstats::AllocStats;
 use parking_lot::Mutex;
 
-use faultsim::{KillHandle, SchedPoint, StepOutcome};
+use faultsim::KillHandle;
 
-use crate::error::{Error, RankOutcome, Result};
+use crate::error::{RankOutcome, Result};
 use crate::process::{Process, RankScratch};
-use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
+use crate::universe::{rank_outcome, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 
 /// One unit of work: one rank incarnation of one run. The argument is
 /// the worker-owned [`RankScratch`] (drain buffer, match engine,
@@ -324,33 +310,8 @@ impl UniversePool {
         F: Fn(&mut Process) -> Result<T> + Send + Sync,
     {
         let n = self.size;
-        if cfg.sched.is_some() {
-            assert!(
-                cfg.schedule.is_none() && cfg.respawn.is_none(),
-                "a deterministic-simulation scheduler is incompatible with \
-                 wall-clock kill schedules and the respawn extension"
-            );
-        }
-        let UniverseConfig { plan, schedule, watchdog, trace, respawn, sched } = cfg;
-
-        // Reset-or-build: reuse the previous run's allocations when we
-        // have exclusive access (the normal case), else start fresh.
-        let shared = match self.shared.take() {
-            Some(mut arc) => match Arc::get_mut(&mut arc) {
-                Some(s) => {
-                    s.reset(plan, trace, sched);
-                    arc
-                }
-                None => Arc::new(Shared::fresh(n, plan, trace, sched)),
-            },
-            None => Arc::new(Shared::fresh(n, plan, trace, sched)),
-        };
-        if let Some(s) = &shared.sched {
-            // Deterministic timestamps: trace events carry the
-            // scheduler's logical clock instead of wall-clock time.
-            let clock = Arc::clone(s);
-            shared.trace.set_clock(Arc::new(move || clock.now()));
-        }
+        let UniverseConfig { plan, schedule, watchdog, trace, respawn } = cfg;
+        let shared = Shared::recycle(self.shared.take(), n, plan, trace, None);
 
         // Asynchronous kill schedule, if any.
         let schedule_handle = schedule.map(|s| {
@@ -383,48 +344,16 @@ impl UniversePool {
             let shared = Arc::clone(&shared);
             let f = &f;
             let outcomes = &outcomes;
-            // This job body is the old spawn-per-run thread body: in
-            // particular the `SchedPoint::Enter` step comes first, so a
-            // pooled worker enters the schedule exactly as a fresh
-            // thread did.
             let job: Box<dyn FnOnce(&mut RankScratch) + Send + '_> =
                 Box::new(move |scratch: &mut RankScratch| {
-                    if let Some(s) = &shared.sched {
-                        // First scheduling point: ranks start
-                        // serialized, not in racy submission order.
-                        if s.step(me, SchedPoint::Enter) == StepOutcome::Abort {
-                            shared.abort(WATCHDOG_ABORT_CODE);
-                        }
-                    }
-                    let sched = shared.sched.clone();
                     let buf = std::mem::take(scratch);
                     let mut proc = Process::with_scratch(me, gen, shared, buf);
                     let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut proc)));
                     *scratch = proc.recycle_scratch();
-                    if let Some(s) = &sched {
-                        // The thread is done scheduling-wise whatever
-                        // the outcome (including panics): release the
-                        // scheduler.
-                        s.on_exit(me);
-                    }
-                    let outcome = match res {
-                        Ok(Ok(v)) => RankOutcome::Ok(v),
-                        Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
-                        Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
-                        Ok(Err(e)) => RankOutcome::Err(e),
-                        Err(p) => {
-                            let msg = p
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "opaque panic".to_string());
-                            RankOutcome::Panicked(msg)
-                        }
-                    };
                     // Later incarnations overwrite: the rank's reported
                     // outcome is its final incarnation's (incarnations
                     // of one rank run in order on its worker).
-                    outcomes.lock()[me] = Some(outcome);
+                    outcomes.lock()[me] = Some(rank_outcome(res));
                 });
             // SAFETY: the job borrows `f`, `outcomes` and the stack
             // frame of `run`, which the 'static `Job` type erases.
@@ -509,15 +438,8 @@ impl UniversePool {
             h.join();
         }
 
-        // A logical-step watchdog (simulation scheduler budget) aborts
-        // with the same code as the wall-clock one; report it as a
-        // hang too.
-        if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
-            hung = true;
-        }
         let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
-        let mut stats =
-            shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
+        let mut stats = faultsim::RunStats::default();
         stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
         stats.alloc = self.core.alloc.harvest();
         let outcomes = outcomes

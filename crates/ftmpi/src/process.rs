@@ -120,11 +120,11 @@ pub struct Process {
 
 impl Process {
     /// Construct the rank-`me` process of a universe from a recycled
-    /// [`RankScratch`], so a pooled worker's containers (drain buffer,
-    /// match engine, request table, communicator table, encode
+    /// [`RankScratch`], so an executor's per-rank containers (drain
+    /// buffer, match engine, request table, communicator table, encode
     /// scratch) survive across incarnations and runs (see
-    /// `UniversePool`; pass `RankScratch::default()` when there is
-    /// nothing to recycle).
+    /// `UniversePool` and `SimExecutor`; pass `RankScratch::default()`
+    /// when there is nothing to recycle).
     pub(crate) fn with_scratch(
         me: WorldRank,
         gen: u32,
@@ -247,9 +247,9 @@ impl Process {
         self.shared.registry.check_alive(self.me, self.gen)
     }
 
-    /// Blocking scheduling point for deterministic simulation. A no-op
-    /// without a scheduler; with one, may block until this rank is
-    /// granted, and converts a exhausted step budget into a job abort
+    /// Scheduling point for deterministic simulation. A no-op without a
+    /// scheduler; with one, may suspend this rank's fiber until it is
+    /// granted, and converts an exhausted step budget into a job abort
     /// (the logical-step replacement for the wall-clock watchdog).
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
         let aborted = match &self.shared.sched {
@@ -534,9 +534,9 @@ impl Process {
             if let Some(r) = check(self)? {
                 return Ok(r);
             }
-            // Under a simulation scheduler, blocking happens inside
-            // sched_step (the scheduler runs us only when runnable), so
-            // parking here would deadlock the serialized schedule.
+            // Under a simulation scheduler, waiting happens inside
+            // sched_step (the scheduler runs us only when runnable), and
+            // parking here would block the thread every rank runs on.
             if self.shared.sched.is_none() {
                 let shared = Arc::clone(&self.shared);
                 shared.fabric.park(self.me, token, || shared.registry.epoch());

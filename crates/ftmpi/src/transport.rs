@@ -94,7 +94,7 @@ impl Fabric {
     /// Reset protocol (see `Shared::reset`): return the fabric to the
     /// observable state of a fresh `Fabric::new(n)` while retaining
     /// every queue allocation. Must only be called between runs, when
-    /// no rank thread can be delivering or parking.
+    /// no rank can be delivering or parking.
     pub fn reset(&self) {
         for slot in &self.slots {
             let mut mb = slot.mb.lock();

@@ -1,11 +1,14 @@
 //! The universe: spawn N ranks, run a closure on each, harvest results.
 //!
-//! Each rank is an OS thread holding a [`Process`]; the universe wires
-//! the shared fabric, failure registry, fault injector, coordination
-//! boards and trace together, runs an optional asynchronous kill
-//! schedule, and — crucially for reproducing the paper's Fig. 6 — a
-//! watchdog that detects distributed hangs and converts them into a
-//! clean, reportable outcome instead of a wedged test suite.
+//! In wall-clock mode ([`run`], [`crate::UniversePool`]) each rank is
+//! an OS thread holding a [`Process`]; the universe wires the shared
+//! fabric, failure registry, fault injector, coordination boards and
+//! trace together, runs an optional asynchronous kill schedule, and —
+//! crucially for reproducing the paper's Fig. 6 — a watchdog that
+//! detects distributed hangs and converts them into a clean, reportable
+//! outcome instead of a wedged test suite. Under a deterministic-
+//! simulation scheduler the same [`Shared`] state runs on the
+//! [`crate::SimExecutor`] instead, every rank a fiber on one thread.
 //!
 //! Every piece of that state lives in one universe's [`Shared`]; there
 //! are no process-global statics anywhere in `ftmpi` or `faultsim`
@@ -20,10 +23,9 @@ use std::time::Duration;
 
 use faultsim::{AsyncSchedule, FaultPlan, Injector, RunStats, SchedHook};
 
-
 use crate::coord::CommBoard;
 use crate::detector::FailureRegistry;
-use crate::error::{RankOutcome, Result};
+use crate::error::{Error, RankOutcome, Result};
 use crate::group::Group;
 use crate::nbc::BarrierBoard;
 use crate::paypool::PayloadPool;
@@ -101,9 +103,9 @@ impl Shared {
     /// moot: `CommBoard` sorts split members before assignment and the
     /// validate/barrier boards are keyed by exact lookup.
     ///
-    /// Requires exclusive access (`&mut self`), which the pool has
-    /// between runs: every worker drops its `Arc<Shared>` clone before
-    /// signalling completion.
+    /// Requires exclusive access (`&mut self`), which an executor has
+    /// between runs: every rank drops its `Arc<Shared>` clone before
+    /// its run counts as complete.
     pub(crate) fn reset(
         &mut self,
         plan: FaultPlan,
@@ -129,6 +131,27 @@ impl Shared {
         // no run-observable state (buffer *contents* are overwritten
         // before any Bytes view exposes them), and keeping them warm
         // is the point of pooling.
+    }
+
+    /// The previous run's state reset in place when the executor holds
+    /// the only handle (the normal case), else freshly built.
+    pub(crate) fn recycle(
+        prev: Option<Arc<Shared>>,
+        n: usize,
+        plan: FaultPlan,
+        trace: bool,
+        sched: Option<Arc<dyn SchedHook>>,
+    ) -> Arc<Shared> {
+        match prev {
+            Some(mut arc) => match Arc::get_mut(&mut arc) {
+                Some(s) => {
+                    s.reset(plan, trace, sched);
+                    arc
+                }
+                None => Arc::new(Shared::fresh(n, plan, trace, sched)),
+            },
+            None => Arc::new(Shared::fresh(n, plan, trace, sched)),
+        }
     }
 
     /// Wake every rank parked on the fabric — unless this universe is
@@ -191,13 +214,6 @@ pub struct UniverseConfig {
     /// point-to-point protocols like the task farm, not rings or
     /// in-flight collectives/validates).
     pub respawn: Option<RespawnPolicy>,
-    /// Deterministic-simulation scheduler. When set, the runtime
-    /// serializes every rank through the hook's scheduling points and
-    /// routes every nondeterministic choice through it; the wall-clock
-    /// `watchdog` is normally replaced by the hook's logical step
-    /// budget. Incompatible with `schedule` (wall-clock kills) and
-    /// `respawn`.
-    pub sched: Option<Arc<dyn SchedHook>>,
 }
 
 /// How failed ranks are brought back (recovery extension).
@@ -238,13 +254,6 @@ impl UniverseConfig {
         self.respawn = Some(policy);
         self
     }
-
-    /// Builder-style: drive the run from a deterministic-simulation
-    /// scheduler.
-    pub fn sim(mut self, hook: Arc<dyn SchedHook>) -> Self {
-        self.sched = Some(hook);
-        self
-    }
 }
 
 /// Result of a universe run.
@@ -263,13 +272,14 @@ pub struct RunReport<T> {
     /// Every per-run statistic, on the one [`faultsim::RunStats`]
     /// surface: `handoff` and `coverage` come from the simulation
     /// scheduler (zeros in wall-clock mode) with
-    /// `handoff.park_safety_timeouts` mirrored from the transport;
-    /// `alloc` is the heap traffic of the rank workers' job bodies,
-    /// summed across ranks (the caller thread's share — schedule
-    /// derivation, report assembly — is the caller's to measure), all
-    /// zeros unless the final binary installs
-    /// [`allocstats::StatsAlloc`] as its global allocator; the `dst`
-    /// harness does (DESIGN.md §8.10).
+    /// `handoff.park_safety_timeouts` mirrored from the transport.
+    /// In wall-clock mode `alloc` is the heap traffic of the rank
+    /// threads' job bodies, summed across ranks (the caller thread's
+    /// share is the caller's to measure), all zeros unless the final
+    /// binary installs [`allocstats::StatsAlloc`] as its global
+    /// allocator; the `dst` harness does (DESIGN.md §8.10). Under the
+    /// [`crate::SimExecutor`] the ranks run on the caller's thread, so
+    /// `alloc` stays zero and the caller's own snapshot counts them.
     pub stats: RunStats,
 }
 
@@ -296,6 +306,25 @@ impl<T> RunReport<T> {
             .enumerate()
             .filter_map(|(r, o)| o.as_ok().map(|v| (r, v)))
             .collect()
+    }
+}
+
+/// A rank body's result as the rank's reported outcome; a caught panic
+/// carries its message.
+pub(crate) fn rank_outcome<T>(res: std::thread::Result<Result<T>>) -> RankOutcome<T> {
+    match res {
+        Ok(Ok(v)) => RankOutcome::Ok(v),
+        Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
+        Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
+        Ok(Err(e)) => RankOutcome::Err(e),
+        Err(p) => {
+            let msg = p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic".to_string());
+            RankOutcome::Panicked(msg)
+        }
     }
 }
 

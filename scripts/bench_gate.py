@@ -30,6 +30,12 @@ Rates are only comparable on the same seed window (the workload mix
 changes with the window — see EXPERIMENTS.md); if both files carry a
 ``seed_window`` stanza and they disagree, the gate refuses to compare
 rather than emitting false verdicts.
+
+Rates are also only comparable on the same host: going from one core
+to two moves a single universe's rate by far more than the tolerance.
+Unless both files carry the same ``host`` stanza (``cores``, ``arch``),
+the gate checks the deterministic ``allocs_per_schedule`` series alone
+and reports every rate series as not comparable.
 """
 
 import argparse
@@ -76,10 +82,21 @@ def main():
             f"committed BENCH_dst.json on the new window first"
         )
 
+    cur_host = cur.get("host")
+    base_host = base.get("host")
+    same_host = cur_host is not None and cur_host == base_host
+    if not same_host:
+        print(
+            f"bench gate: hosts differ (current {cur_host}, baseline "
+            f"{base_host}); gating allocs_per_schedule only, rates are "
+            f"not comparable"
+        )
+
     cur_results = cur.get("results", {})
     base_results = base.get("results", {})
 
     failed = []
+    gated = 0
     for series in sorted(base_results):
         if series not in cur_results:
             print(f"  skip  {series}: not in current run")
@@ -87,7 +104,12 @@ def main():
         b = base_results[series]["rate"]
         c = cur_results[series]["rate"]
         ratio = c / b if b > 0 else float("inf")
-        if series.startswith("allocs_per_schedule"):
+        allocs = series.startswith("allocs_per_schedule")
+        if not allocs and not same_host:
+            print(f"  n/c   {series}: {c:.1f} vs baseline {b:.1f} (other host)")
+            continue
+        gated += 1
+        if allocs:
             # Lower-is-better, deterministic: tight ceiling.
             ceiling = args.alloc_ceiling * b
             bad = c > ceiling
@@ -115,7 +137,7 @@ def main():
             f"{args.tolerance}x, alloc ceiling {args.alloc_ceiling}x): "
             f"{', '.join(failed)}"
         )
-    print(f"bench gate: all {len(base_results)} series within tolerance")
+    print(f"bench gate: all {gated} gated series within tolerance")
 
 
 if __name__ == "__main__":

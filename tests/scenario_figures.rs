@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use faultsim::scenario::{kill_after_recv, kill_after_send, kill_behind_token};
-use ftmpi::{run, UniverseConfig, WORLD};
+use ftmpi::{run, SimConfig, SimExecutor, UniverseConfig, WORLD};
 use ftring::{run_ring, summarize, RingConfig, T_N};
 
 const MAX_ITER: u64 = 6;
@@ -39,15 +39,8 @@ fn fig6_naive_recv_hangs_when_token_dies_with_rank() {
     let cfg = RingConfig::naive(MAX_ITER);
     let sched =
         std::sync::Arc::new(dst::Scheduler::new(4, 0xF16_6, 50_000, None, dst::Retention::Full));
-    let report = run(
-        4,
-        UniverseConfig::with_plan(plan)
-            .sim(sched.clone())
-            // Generous wall-clock backstop only; the logical budget is
-            // what fires.
-            .watchdog(watchdog()),
-        move |p| run_ring(p, WORLD, &cfg),
-    );
+    let report = SimExecutor::new(4)
+        .run(SimConfig::new(sched.clone()).with_plan(plan), move |p| run_ring(p, WORLD, &cfg));
     let s = summarize(&report);
     assert!(s.hung, "the naive receive must hang exactly as Fig. 6 describes");
     assert!(
